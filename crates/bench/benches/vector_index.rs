@@ -29,10 +29,10 @@
 //! leaves the committed numbers alone.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use querc_index::simd::{self, Kernel};
 use querc_index::{
     FlatIndex, IvfConfig, IvfIndex, Metric, Sq8Config, Sq8Index, VectorIndex, VectorStore,
 };
+use querc_linalg::kernel::{self, Kernel};
 use querc_linalg::Pcg32;
 use std::collections::HashSet;
 use std::hint::black_box;
@@ -200,26 +200,26 @@ fn bench_vector_index(c: &mut Criterion) {
         println!("\nvector_index: n={n} dim={dim} (recall@{K} floor {RECALL_FLOOR})");
 
         // ---- Kernel axis: the same exact scan on both arms. ----
-        simd::set_kernel_override(Some(Kernel::Scalar));
+        kernel::set_kernel_override(Some(Kernel::Scalar));
         let scalar_flat_ms = time_batch(&flat, &refs);
-        simd::set_kernel_override(None);
+        kernel::set_kernel_override(None);
         let simd_flat_ms = time_batch(&flat, &refs);
         println!(
             "  flat: scalar {scalar_flat_ms:.2} ms vs {} {simd_flat_ms:.2} ms \
              ({:.2}× speedup, bit-identical results)",
-            simd::kernel_name(),
+            kernel::kernel_name(),
             scalar_flat_ms / simd_flat_ms,
         );
         let cflat = FlatIndex::new(store.clone(), Metric::Cosine);
-        simd::set_kernel_override(Some(Kernel::Scalar));
+        kernel::set_kernel_override(Some(Kernel::Scalar));
         let scalar_cosine_ms = time_batch(&cflat, &refs);
-        simd::set_kernel_override(None);
+        kernel::set_kernel_override(None);
         let simd_cosine_ms = time_batch(&cflat, &refs);
         drop(cflat);
         println!(
             "  flat cosine: scalar {scalar_cosine_ms:.2} ms vs {} {simd_cosine_ms:.2} ms \
              ({:.2}× speedup, bit-identical results)",
-            simd::kernel_name(),
+            kernel::kernel_name(),
             scalar_cosine_ms / simd_cosine_ms,
         );
 

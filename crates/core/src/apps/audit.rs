@@ -6,7 +6,7 @@
 //! machinery with `account` labels powers Table 1's account-labeling task
 //! and misrouting detection.
 
-use super::{AppOutput, AppReport, TrainCorpus, WorkloadApp};
+use super::{AppModel, AppOutput, AppReport, TrainCorpus, WorkloadApp};
 use crate::classifier::TrainedLabeler;
 use crate::enriched::EnrichedQuery;
 use crate::error::Result;
@@ -45,6 +45,8 @@ pub struct AccountAccuracy {
 pub struct SecurityAuditor {
     embedder: Arc<dyn Embedder>,
     user_model: TrainedLabeler,
+    /// Trees in the user-prediction forest.
+    n_trees: usize,
     /// Number of records the user model was fitted on.
     pub trained_queries: usize,
 }
@@ -70,6 +72,7 @@ impl SecurityAuditor {
         SecurityAuditor {
             embedder,
             user_model,
+            n_trees,
             trained_queries: records.len(),
         }
     }
@@ -122,7 +125,7 @@ impl SecurityAuditor {
     }
 }
 
-/// [`SecurityAuditor`] behind the uniform [`WorkloadApp`] interface.
+/// Security auditing as a [`WorkloadApp`]: fits a [`SecurityAuditor`].
 ///
 /// Labels attached per query: `predicted_user`, plus `audit_flag=true`
 /// when the query carries a `user` label that disagrees with the
@@ -156,10 +159,6 @@ impl WorkloadApp for AuditApp {
         "audit"
     }
 
-    fn task(&self) -> &'static str {
-        "predict the submitting user from syntax; flag out-of-character queries"
-    }
-
     fn fit(&self, corpus: &TrainCorpus) -> Result<SecurityAuditor> {
         corpus.require_records("audit.fit")?;
         Ok(SecurityAuditor::train(
@@ -170,19 +169,41 @@ impl WorkloadApp for AuditApp {
         ))
     }
 
-    fn label_batch(
-        &self,
-        model: &SecurityAuditor,
-        batch: &[EnrichedQuery],
-    ) -> Result<Vec<AppOutput>> {
+    fn load_model(&self, json: &str) -> Result<SecurityAuditor> {
+        let state: AuditState = crate::persist::from_json(json, "audit model")?;
+        let querc_learn::ClassifierState::Forest(forest) = &state.labeler.classifier else {
+            return Err(crate::persist::corrupt(
+                "audit model labeler is not a forest",
+            ));
+        };
+        let n_trees = forest.trees.len();
+        let user_model = TrainedLabeler::from_state(state.labeler)?;
+        if user_model.dim() != self.embedder.dim() {
+            return Err(crate::persist::corrupt(format!(
+                "audit model trained at dim {} but embedder has dim {}",
+                user_model.dim(),
+                self.embedder.dim()
+            )));
+        }
+        Ok(SecurityAuditor {
+            embedder: Arc::clone(&self.embedder),
+            user_model,
+            n_trees,
+            trained_queries: state.trained_queries,
+        })
+    }
+}
+
+impl AppModel for SecurityAuditor {
+    fn label_batch(&self, batch: &[EnrichedQuery]) -> Result<Vec<AppOutput>> {
         // Ingress-enriched vectors are reused; anything else embeds in
         // one batched call from the memoized token streams.
-        let vectors = EnrichedQuery::vectors(batch, model.embedder.as_ref());
+        let vectors = EnrichedQuery::vectors(batch, self.embedder.as_ref());
         Ok(batch
             .iter()
             .zip(vectors)
             .map(|(q, v)| {
-                let user = model.user_model.predict(&v).to_string();
+                let user = self.user_model.predict(&v).to_string();
                 let mut out = AppOutput::new();
                 if let Some(actual) = q.get("user") {
                     out.set("audit_flag", (actual != user).to_string());
@@ -197,40 +218,23 @@ impl WorkloadApp for AuditApp {
         Some(Arc::clone(&self.embedder))
     }
 
-    fn report(&self, model: &SecurityAuditor) -> AppReport {
-        AppReport {
-            app: self.name().to_string(),
-            task: self.task().to_string(),
-            trained_queries: model.trained_queries,
-            detail: vec![
-                ("embedder".to_string(), model.embedder.name().to_string()),
-                ("users".to_string(), model.known_users().to_string()),
-                ("trees".to_string(), self.n_trees.to_string()),
+    fn report(&self) -> AppReport {
+        AppReport::new(
+            "audit",
+            "predict the submitting user from syntax; flag out-of-character queries",
+            self.trained_queries,
+            self.embedder.as_ref(),
+            &[
+                ("users", self.known_users().to_string()),
+                ("trees", self.n_trees.to_string()),
             ],
-        }
+        )
     }
 
-    fn save_model(&self, model: &SecurityAuditor) -> Option<String> {
+    fn save_model(&self) -> Option<String> {
         crate::persist::to_json(&AuditState {
-            labeler: model.user_model.export_state()?,
-            trained_queries: model.trained_queries,
-        })
-    }
-
-    fn load_model(&self, json: &str) -> Result<SecurityAuditor> {
-        let state: AuditState = crate::persist::from_json(json, "audit model")?;
-        let user_model = TrainedLabeler::from_state(state.labeler)?;
-        if user_model.dim() != self.embedder.dim() {
-            return Err(crate::persist::corrupt(format!(
-                "audit model trained at dim {} but embedder has dim {}",
-                user_model.dim(),
-                self.embedder.dim()
-            )));
-        }
-        Ok(SecurityAuditor {
-            embedder: Arc::clone(&self.embedder),
-            user_model,
-            trained_queries: state.trained_queries,
+            labeler: self.user_model.export_state()?,
+            trained_queries: self.trained_queries,
         })
     }
 }
@@ -370,13 +374,13 @@ mod tests {
         let mut suspicious = EnrichedQuery::from_sql("insert into sensor_stream values (1, 2)");
         suspicious.set("user", "acct/alice");
         let unlabeled = EnrichedQuery::from_sql("select revenue from finance_reports where q = 3");
-        let out = app.label_batch(&model, &[suspicious, unlabeled]).unwrap();
+        let out = model.label_batch(&[suspicious, unlabeled]).unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].get("predicted_user"), Some("acct/bob"));
         assert_eq!(out[0].get("audit_flag"), Some("true"));
         assert_eq!(out[1].get("predicted_user"), Some("acct/alice"));
         assert_eq!(out[1].get("audit_flag"), None, "no actual user to compare");
-        let report = app.report(&model);
+        let report = model.report();
         assert_eq!(report.app, "audit");
         assert_eq!(report.trained_queries, 40);
         assert!(app.fit(&TrainCorpus::default()).is_err(), "empty corpus");
@@ -387,19 +391,21 @@ mod tests {
         let corpus = TrainCorpus::from_records(records(), 7);
         let app = AuditApp::new(Arc::new(BagOfTokens::new(64, true))).with_trees(15);
         let model = app.fit(&corpus).unwrap();
-        let json = app
-            .save_model(&model)
-            .expect("forest labeler is persistable");
-        let restored = app.load_model(&json).unwrap();
+        let json = model.save_model().expect("forest labeler is persistable");
+        // A default-configured app restores it: the fitted tree count
+        // is model state, so the report survives too.
+        let restored = AuditApp::new(Arc::new(BagOfTokens::new(64, true)))
+            .load_model(&json)
+            .unwrap();
         let mut suspicious = EnrichedQuery::from_sql("insert into sensor_stream values (1, 2)");
         suspicious.set("user", "acct/alice");
         let clean = EnrichedQuery::from_sql("select revenue from finance_reports where q = 3");
         let batch = [suspicious, clean];
         assert_eq!(
-            app.label_batch(&model, &batch).unwrap(),
-            app.label_batch(&restored, &batch).unwrap()
+            model.label_batch(&batch).unwrap(),
+            restored.label_batch(&batch).unwrap()
         );
-        assert_eq!(restored.known_users(), model.known_users());
+        assert_eq!(restored.report(), model.report());
         // A dim-mismatched embedder is rejected, not index-panicked on.
         let narrow = AuditApp::new(Arc::new(BagOfTokens::new(8, true)));
         assert!(matches!(

@@ -5,94 +5,16 @@
 //! trivial to engineer". Predicted-risky queries can be routed to an
 //! instrumented or higher-memory runtime before they fail.
 
-use super::{AppOutput, AppReport, TrainCorpus, WorkloadApp};
+use super::{fit_forest, AppModel, AppOutput, AppReport, TrainCorpus, WorkloadApp};
 use crate::enriched::EnrichedQuery;
 use crate::error::Result;
 use querc_embed::Embedder;
-use querc_learn::{Classifier, ForestConfig, RandomForest};
-use querc_linalg::Pcg32;
-use querc_workloads::QueryRecord;
+use querc_learn::{Classifier, RandomForest};
 use std::sync::Arc;
 
-/// Risk assessment for one query.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ErrorRisk {
-    /// Probability the query fails (forest vote share).
-    pub probability: f64,
-    /// True when above the predictor's threshold.
-    pub risky: bool,
-}
-
-/// A trained error predictor (binary: fails / succeeds).
-pub struct ErrorPredictor {
-    embedder: Arc<dyn Embedder>,
-    model: RandomForest,
-    /// Queries with failure probability ≥ this are flagged.
-    pub threshold: f64,
-}
-
-impl ErrorPredictor {
-    /// Train from log records (the error label ships in the log itself —
-    /// "training data is readily available from the query logs").
-    pub fn train(
-        records: &[QueryRecord],
-        embedder: Arc<dyn Embedder>,
-        threshold: f64,
-        seed: u64,
-    ) -> ErrorPredictor {
-        let docs: Vec<Vec<String>> = records.iter().map(|r| r.tokens()).collect();
-        let vectors = embedder.embed_batch(&docs);
-        let labels: Vec<u32> = records.iter().map(|r| u32::from(r.is_error())).collect();
-        let mut model = RandomForest::new(ForestConfig::extra_trees(40));
-        let mut rng = Pcg32::with_stream(seed, 0xe440);
-        model.fit(&vectors, &labels, 2, &mut rng);
-        ErrorPredictor {
-            embedder,
-            model,
-            threshold,
-        }
-    }
-
-    /// Assess one query.
-    pub fn assess(&self, sql: &str) -> ErrorRisk {
-        self.assess_vector(&self.embedder.embed_sql(sql))
-    }
-
-    /// Assess a precomputed embedding vector — the single risk rule
-    /// shared by the SQL-level, batched, and serving paths.
-    pub fn assess_vector(&self, v: &[f32]) -> ErrorRisk {
-        let proba = self.model.predict_proba(v, 2);
-        let probability = proba.get(1).copied().unwrap_or(0.0) as f64;
-        ErrorRisk {
-            probability,
-            risky: probability >= self.threshold,
-        }
-    }
-
-    /// Fraction of held-out records classified correctly (diagnostic).
-    pub fn holdout_accuracy(&self, records: &[QueryRecord]) -> f64 {
-        if records.is_empty() {
-            return 0.0;
-        }
-        let hits = records
-            .iter()
-            .filter(|r| self.assess(&r.sql).risky == r.is_error())
-            .count();
-        hits as f64 / records.len() as f64
-    }
-
-    /// Assess a chunk of pre-tokenized queries through the embedder's
-    /// batched path.
-    pub fn assess_batch(&self, docs: &[Vec<String>]) -> Vec<ErrorRisk> {
-        self.embedder
-            .embed_batch(docs)
-            .iter()
-            .map(|v| self.assess_vector(v))
-            .collect()
-    }
-}
-
-/// [`ErrorPredictor`] behind the uniform [`WorkloadApp`] interface.
+/// Error prediction as a [`WorkloadApp`]: fits an [`ErrorsModel`] from
+/// the log's own error column ("training data is readily available from
+/// the query logs").
 ///
 /// Labels attached per query: `error_probability` and `error_risky` —
 /// routable to an instrumented runtime before the query fails.
@@ -119,10 +41,12 @@ impl ErrorsApp {
     }
 }
 
-/// A fitted error model plus its training size.
+/// A fitted binary (fails / succeeds) forest over query embeddings plus
+/// its flagging threshold.
 pub struct ErrorsModel {
-    /// The underlying trained predictor (bespoke entry point).
-    pub predictor: ErrorPredictor,
+    embedder: Arc<dyn Embedder>,
+    forest: RandomForest,
+    threshold: f64,
     trained_queries: usize,
 }
 
@@ -133,32 +57,40 @@ impl WorkloadApp for ErrorsApp {
         "errors"
     }
 
-    fn task(&self) -> &'static str {
-        "predict failure probability from query syntax"
-    }
-
     fn fit(&self, corpus: &TrainCorpus) -> Result<ErrorsModel> {
         corpus.require_records("errors.fit")?;
+        let labels: Vec<u32> = corpus.records.iter().map(|r| r.is_error().into()).collect();
         Ok(ErrorsModel {
-            predictor: ErrorPredictor::train(
-                &corpus.records,
-                Arc::clone(&self.embedder),
-                self.threshold,
-                corpus.seed ^ 0xe440,
-            ),
+            embedder: Arc::clone(&self.embedder),
+            forest: fit_forest(self.embedder.as_ref(), corpus, &labels, 2, 0xe440),
+            threshold: self.threshold,
             trained_queries: corpus.len(),
         })
     }
 
-    fn label_batch(&self, model: &ErrorsModel, batch: &[EnrichedQuery]) -> Result<Vec<AppOutput>> {
-        let vectors = EnrichedQuery::vectors(batch, model.predictor.embedder.as_ref());
+    fn load_model(&self, json: &str) -> Result<ErrorsModel> {
+        let state: ErrorsState = crate::persist::from_json(json, "errors model")?;
+        Ok(ErrorsModel {
+            embedder: Arc::clone(&self.embedder),
+            forest: crate::persist::restore_forest(state.forest, self.embedder.dim())?,
+            threshold: state.threshold,
+            trained_queries: state.trained_queries,
+        })
+    }
+}
+
+impl AppModel for ErrorsModel {
+    fn label_batch(&self, batch: &[EnrichedQuery]) -> Result<Vec<AppOutput>> {
+        let vectors = EnrichedQuery::vectors(batch, self.embedder.as_ref());
         Ok(vectors
             .iter()
             .map(|v| {
-                let risk = model.predictor.assess_vector(v);
+                // Failure probability: the forest's vote share for class 1.
+                let proba = self.forest.predict_proba(v, 2);
+                let probability = proba.get(1).copied().unwrap_or(0.0) as f64;
                 let mut out = AppOutput::new();
-                out.set("error_probability", format!("{:.3}", risk.probability));
-                out.set("error_risky", risk.risky.to_string());
+                out.set("error_probability", format!("{probability:.3}"));
+                out.set("error_risky", (probability >= self.threshold).to_string());
                 out
             })
             .collect())
@@ -168,44 +100,21 @@ impl WorkloadApp for ErrorsApp {
         Some(Arc::clone(&self.embedder))
     }
 
-    fn report(&self, model: &ErrorsModel) -> AppReport {
-        AppReport {
-            app: self.name().to_string(),
-            task: self.task().to_string(),
-            trained_queries: model.trained_queries,
-            detail: vec![
-                (
-                    "embedder".to_string(),
-                    model.predictor.embedder.name().to_string(),
-                ),
-                (
-                    "threshold".to_string(),
-                    format!("{:.2}", model.predictor.threshold),
-                ),
-            ],
-        }
+    fn report(&self) -> AppReport {
+        AppReport::new(
+            "errors",
+            "predict failure probability from query syntax",
+            self.trained_queries,
+            self.embedder.as_ref(),
+            &[("threshold", format!("{:.2}", self.threshold))],
+        )
     }
 
-    fn save_model(&self, model: &ErrorsModel) -> Option<String> {
+    fn save_model(&self) -> Option<String> {
         crate::persist::to_json(&ErrorsState {
-            forest: model.predictor.model.to_state(),
-            threshold: model.predictor.threshold,
-            trained_queries: model.trained_queries,
-        })
-    }
-
-    fn load_model(&self, json: &str) -> Result<ErrorsModel> {
-        let state: ErrorsState = crate::persist::from_json(json, "errors model")?;
-        crate::persist::check_forest(&state.forest, self.embedder.dim())?;
-        let model =
-            RandomForest::from_state(state.forest).map_err(crate::persist::bad_learn_state)?;
-        Ok(ErrorsModel {
-            predictor: ErrorPredictor {
-                embedder: Arc::clone(&self.embedder),
-                model,
-                threshold: state.threshold,
-            },
-            trained_queries: state.trained_queries,
+            forest: self.forest.to_state(),
+            threshold: self.threshold,
+            trained_queries: self.trained_queries,
         })
     }
 }
@@ -223,6 +132,7 @@ struct ErrorsState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use querc_workloads::QueryRecord;
 
     /// A workload where one query shape reliably blows memory.
     fn records(seed_off: u64) -> Vec<QueryRecord> {
@@ -253,61 +163,81 @@ mod tests {
             .collect()
     }
 
-    fn predictor() -> ErrorPredictor {
-        ErrorPredictor::train(
-            &records(0),
-            Arc::new(querc_embed::BagOfTokens::new(64, true)),
-            0.5,
-            1,
-        )
+    fn app() -> ErrorsApp {
+        ErrorsApp::new(Arc::new(querc_embed::BagOfTokens::new(64, true)))
+    }
+
+    fn model() -> ErrorsModel {
+        app()
+            .fit(&TrainCorpus::from_records(records(0), 0xe441))
+            .unwrap()
+    }
+
+    /// `(error_probability, error_risky)` per query.
+    fn assess(model: &ErrorsModel, sqls: &[&str]) -> Vec<(f64, bool)> {
+        let batch: Vec<EnrichedQuery> = sqls.iter().map(|s| EnrichedQuery::from_sql(*s)).collect();
+        model
+            .label_batch(&batch)
+            .unwrap()
+            .iter()
+            .map(|out| {
+                let p = out.get("error_probability").unwrap().parse().unwrap();
+                (p, out.get("error_risky") == Some("true"))
+            })
+            .collect()
     }
 
     #[test]
     fn flaky_shape_is_risky_safe_shape_is_not() {
-        let p = predictor();
-        let risky = p.assess(
-            "select a.*, b.* from giant_facts a join giant_facts b on a.k = b.k where a.x > 999",
+        let risk = assess(
+            &model(),
+            &[
+                "select a.*, b.* from giant_facts a join giant_facts b on a.k = b.k where a.x > 999",
+                "select c from small_dim where id = 999",
+            ],
         );
-        let safe = p.assess("select c from small_dim where id = 999");
-        assert!(risky.probability > safe.probability);
-        assert!(risky.risky, "{risky:?}");
-        assert!(!safe.risky, "{safe:?}");
+        let (risky, safe) = (risk[0], risk[1]);
+        assert!(risky.0 > safe.0);
+        assert!(risky.1, "{risky:?}");
+        assert!(!safe.1, "{safe:?}");
     }
 
     #[test]
     fn holdout_accuracy_beats_base_rate() {
-        let p = predictor();
         let held = records(7);
-        let acc = p.holdout_accuracy(&held);
+        let sqls: Vec<&str> = held.iter().map(|r| r.sql.as_str()).collect();
+        let hits = assess(&model(), &sqls)
+            .iter()
+            .zip(&held)
+            .filter(|((_, risky), r)| *risky == r.is_error())
+            .count();
+        let acc = hits as f64 / held.len() as f64;
         // Base rate of the majority class ("no error") is ~81%.
         assert!(acc > 0.85, "accuracy {acc}");
     }
 
     #[test]
     fn errors_app_implements_workload_app() {
-        // seed ^ 0xe440 == 1 → the exact forest `predictor()` exercises.
-        let corpus = TrainCorpus::from_records(records(0), 0xe441);
-        let app = ErrorsApp::new(Arc::new(querc_embed::BagOfTokens::new(64, true)));
-        let model = app.fit(&corpus).unwrap();
+        let model = model();
         let risky = EnrichedQuery::from_sql(
             "select a.*, b.* from giant_facts a join giant_facts b on a.k = b.k where a.x > 999",
         );
         let safe = EnrichedQuery::from_sql("select c from small_dim where id = 999");
-        let out = app.label_batch(&model, &[risky, safe]).unwrap();
+        let out = model.label_batch(&[risky, safe]).unwrap();
         assert_eq!(out[0].get("error_risky"), Some("true"));
         assert_eq!(out[1].get("error_risky"), Some("false"));
         let p0: f64 = out[0].get("error_probability").unwrap().parse().unwrap();
         let p1: f64 = out[1].get("error_probability").unwrap().parse().unwrap();
         assert!(p0 > p1);
-        assert_eq!(app.report(&model).app, "errors");
+        assert_eq!(model.report().app, "errors");
     }
 
     #[test]
     fn model_round_trips_through_save_load() {
         let corpus = TrainCorpus::from_records(records(0), 3);
-        let app = ErrorsApp::new(Arc::new(querc_embed::BagOfTokens::new(64, true)));
+        let app = app();
         let model = app.fit(&corpus).unwrap();
-        let json = app.save_model(&model).expect("forest is persistable");
+        let json = model.save_model().expect("forest is persistable");
         let restored = app.load_model(&json).unwrap();
         let batch: Vec<EnrichedQuery> = [
             "select a.*, b.* from giant_facts a join giant_facts b on a.k = b.k where a.x > 7",
@@ -317,17 +247,17 @@ mod tests {
         .map(|s| EnrichedQuery::from_sql(*s))
         .collect();
         assert_eq!(
-            app.label_batch(&model, &batch).unwrap(),
-            app.label_batch(&restored, &batch).unwrap()
+            model.label_batch(&batch).unwrap(),
+            restored.label_batch(&batch).unwrap()
         );
-        assert_eq!(app.report(&restored), app.report(&model));
+        assert_eq!(restored.report(), model.report());
     }
 
     #[test]
     fn load_rejects_forest_wider_than_the_embedder() {
         let corpus = TrainCorpus::from_records(records(0), 3);
-        let wide = ErrorsApp::new(Arc::new(querc_embed::BagOfTokens::new(64, true)));
-        let json = wide.save_model(&wide.fit(&corpus).unwrap()).unwrap();
+        let wide = app();
+        let json = wide.fit(&corpus).unwrap().save_model().unwrap();
         // Restoring under a narrower embedder would index-panic at
         // label time; it must be rejected up front.
         let narrow = ErrorsApp::new(Arc::new(querc_embed::BagOfTokens::new(4, true)));
@@ -343,10 +273,8 @@ mod tests {
 
     #[test]
     fn probabilities_in_unit_interval() {
-        let p = predictor();
-        for sql in ["select 1", "drop table x", ""] {
-            let r = p.assess(sql);
-            assert!((0.0..=1.0).contains(&r.probability));
+        for (p, _) in assess(&model(), &["select 1", "drop table x", ""]) {
+            assert!((0.0..=1.0).contains(&p));
         }
     }
 }

@@ -1,11 +1,13 @@
 //! Applications — the paper's §4 use cases behind one uniform trait.
 //!
 //! The paper's core claim is that *every* workload-management task
-//! reduces to query labeling. This module makes that claim the API:
-//! each application implements [`WorkloadApp`] — fit a model from a
-//! [`TrainCorpus`], label query batches into [`AppOutput`]s, describe
-//! itself with an [`AppReport`] — and is served uniformly by the
-//! [`crate::service::WorkloadManager`] (paper Fig 1's Qworker fabric).
+//! reduces to query labeling. This module makes that claim the API: an
+//! application is a [`WorkloadApp`] configuration whose `fit` turns a
+//! [`TrainCorpus`] into an [`AppModel`], and the fitted model is the
+//! labeler — it labels query batches into [`AppOutput`]s, describes
+//! itself with an [`AppReport`], and serializes itself for snapshots.
+//! The [`crate::service::WorkloadManager`] serves the models uniformly
+//! (paper Fig 1's Qworker fabric).
 //!
 //! * [`summarize`] — workload summarization for index recommendation
 //!   (§5.1's headline experiment);
@@ -16,18 +18,19 @@
 //!   allocation;
 //! * [`recommend`] — next-query recommendation over embedding clusters.
 //!
-//! The pre-existing bespoke entry points (`SecurityAuditor::train`,
-//! `summarize_workload`, …) remain as thin wrappers around the same
-//! logic, so offline/ablation code keeps working unchanged.
+//! Each app has one labeling path, [`AppModel::label_batch`]. The paper
+//! binaries' offline entry points (`SecurityAuditor::train`,
+//! `QueryRecommender::train`, `summarize_workload`) share the models'
+//! training code.
 //!
-//! Apps label [`crate::EnrichedQuery`] batches: the enriched envelope
+//! Models label [`crate::EnrichedQuery`] batches: the enriched envelope
 //! carries memoized tokens and (when the query came through the
-//! manager's ingress embed plane) a precomputed embedding vector, so an
-//! app only embeds when no upstream component already did. Every app is
-//! fit/label/report — usable directly, without a manager:
+//! manager's ingress embed plane) a precomputed embedding vector, so a
+//! model only embeds when no upstream component already did. Every app
+//! is fit-then-label, usable directly without a manager:
 //!
 //! ```
-//! use querc::apps::{ResourcesApp, TrainCorpus, WorkloadApp};
+//! use querc::apps::{AppModel, ResourcesApp, TrainCorpus, WorkloadApp};
 //! use querc::EnrichedQuery;
 //! use querc_workloads::{SnowCloud, SnowCloudConfig};
 //! use std::sync::Arc;
@@ -38,10 +41,10 @@
 //!
 //! let model = app.fit(&corpus).unwrap();
 //! let batch = [EnrichedQuery::from_sql("select 1")];
-//! let outputs = app.label_batch(&model, &batch).unwrap();
+//! let outputs = model.label_batch(&batch).unwrap();
 //! assert_eq!(outputs.len(), 1);
 //! assert!(outputs[0].get("resource_class").is_some());
-//! assert_eq!(app.report(&model).trained_queries, corpus.len());
+//! assert_eq!(model.report().trained_queries, corpus.len());
 //! ```
 
 pub mod audit;
@@ -62,8 +65,9 @@ use crate::enriched::EnrichedQuery;
 use crate::error::{QuercError, Result};
 use crate::labeled::LabeledQuery;
 use querc_embed::Embedder;
+use querc_learn::{Classifier, ForestConfig, RandomForest};
+use querc_linalg::Pcg32;
 use querc_workloads::QueryRecord;
-use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -183,68 +187,95 @@ pub struct AppReport {
     pub detail: Vec<(String, String)>,
 }
 
-/// One workload-management task expressed as query labeling.
+impl AppReport {
+    /// A report whose diagnostics lead with the model's `embedder`.
+    pub(crate) fn new(
+        app: &str,
+        task: &str,
+        trained_queries: usize,
+        embedder: &dyn Embedder,
+        detail: &[(&str, String)],
+    ) -> AppReport {
+        let embedder = ("embedder".to_string(), embedder.name().to_string());
+        AppReport {
+            app: app.to_string(),
+            task: task.to_string(),
+            trained_queries,
+            detail: std::iter::once(embedder)
+                .chain(detail.iter().map(|(k, v)| (k.to_string(), v.clone())))
+                .collect(),
+        }
+    }
+}
+
+/// A fitted model: the labeler a [`WorkloadApp`] produces.
 ///
-/// Implementations are *stateless configurations*: `fit` produces the
-/// trained model as a value, so one app instance can train against many
-/// corpora and replicated Qworkers can share one immutable model behind
-/// an `Arc`. All methods that can fail report [`QuercError`] — no
-/// panicking paths are reachable from the serving fabric.
-pub trait WorkloadApp: Send + Sync {
-    /// The trained-model artifact `fit` produces.
-    type Model: Send + Sync + 'static;
-
-    /// Registration key (e.g. `"audit"`).
-    fn name(&self) -> &'static str;
-
-    /// One-line task description for reports.
-    fn task(&self) -> &'static str;
-
-    /// Train a model from the corpus.
-    fn fit(&self, corpus: &TrainCorpus) -> Result<Self::Model>;
-
+/// Everything serving needs lives here — the embedder, the learned
+/// state, the label-time decision rule — so a model labels, describes
+/// and serializes itself without its app. All methods that can fail
+/// report [`QuercError`]; no panicking path is reachable from the
+/// serving fabric.
+pub trait AppModel: Send + Sync {
     /// Label a batch of queries. Must return exactly `batch.len()`
     /// outputs, `outputs[i]` belonging to `batch[i]`.
     ///
     /// Implementations obtain vectors with [`EnrichedQuery::vectors`]:
-    /// a vector precomputed under the app embedder's cache namespace
+    /// a vector precomputed under the model embedder's cache namespace
     /// (the manager's ingress embed plane, or an earlier consumer in the
     /// same worker) is reused as-is, and only the remainder is embedded —
     /// in one [`querc_embed::Embedder::embed_batch`] call over the
     /// memoized token streams. Either way the labels are identical:
     /// caching is an amortization, never a semantic change.
-    fn label_batch(&self, model: &Self::Model, batch: &[EnrichedQuery]) -> Result<Vec<AppOutput>>;
+    fn label_batch(&self, batch: &[EnrichedQuery]) -> Result<Vec<AppOutput>>;
 
-    /// The embedder this app labels through, if it has exactly one. The
-    /// manager embeds through it **at ingress** (batched, via the shared
-    /// vector cache) so that by the time a chunk reaches the app shard
-    /// the vectors are already attached. `None` (the default) opts out
-    /// of ingress embedding; the app then embeds inside `label_batch`.
+    /// The embedder this model labels through, if it has exactly one.
+    /// The manager embeds through it **at ingress** (batched, via the
+    /// shared vector cache) so that by the time a chunk reaches the app
+    /// shard the vectors are already attached. `None` (the default) opts
+    /// out of ingress embedding; the model then embeds inside
+    /// `label_batch`.
     fn embedder(&self) -> Option<Arc<dyn Embedder>> {
         None
     }
 
-    /// Live search counters of the fitted model's vector index, if the
-    /// app serves nearest-neighbor lookups through the
-    /// `querc_index::VectorIndex` plane (default `None`). The manager
-    /// surfaces this next to the embed-cache hit-rates in
-    /// [`crate::service::AppThroughput::index`].
-    fn index_stats(&self, _model: &Self::Model) -> Option<querc_index::IndexStats> {
+    /// Live search counters of the model's vector index, if it serves
+    /// nearest-neighbor lookups through the `querc_index::VectorIndex`
+    /// plane (default `None`). The manager surfaces this next to the
+    /// embed-cache hit-rates in [`crate::service::AppThroughput::index`].
+    fn index_stats(&self) -> Option<querc_index::IndexStats> {
         None
     }
 
-    /// Describe a fitted model.
-    fn report(&self, model: &Self::Model) -> AppReport;
+    /// Describe the fitted model.
+    fn report(&self) -> AppReport;
 
-    /// Serialize a fitted model for a snapshot (the persistence plane's
-    /// checkpoint path). `None` — the default — opts the app out of
-    /// persistence: it is skipped at checkpoint time and refits after a
-    /// restore.
-    fn save_model(&self, _model: &Self::Model) -> Option<String> {
+    /// Serialize the model for a snapshot (the persistence plane's
+    /// checkpoint path), readable by [`WorkloadApp::load_model`]. `None`
+    /// — the default — opts the app out of persistence: it is skipped
+    /// at checkpoint time and refits after a restore.
+    fn save_model(&self) -> Option<String> {
         None
     }
+}
 
-    /// Rebuild a fitted model from [`WorkloadApp::save_model`] output.
+/// One workload-management task expressed as query labeling: a
+/// configuration that fits an [`AppModel`].
+///
+/// Implementations are *stateless configurations*: `fit` produces the
+/// trained model as a value, so one app instance can train against many
+/// corpora and replicated Qworkers can share one immutable model behind
+/// an `Arc`.
+pub trait WorkloadApp: Send + Sync {
+    /// The fitted labeler `fit` produces.
+    type Model: AppModel + 'static;
+
+    /// Registration key (e.g. `"audit"`).
+    fn name(&self) -> &'static str;
+
+    /// Train a model from the corpus.
+    fn fit(&self, corpus: &TrainCorpus) -> Result<Self::Model>;
+
+    /// Rebuild a fitted model from [`AppModel::save_model`] output.
     /// Implementations must **validate** everything label-time code
     /// trusts (matrix shapes, index bounds, the embedder's
     /// dimensionality) and surface [`QuercError::Corrupt`] on anything
@@ -258,84 +289,21 @@ pub trait WorkloadApp: Send + Sync {
     }
 }
 
-/// Object-safe erasure of [`WorkloadApp`] — what the manager stores.
-/// Blanket-implemented for every `WorkloadApp`, so user code only ever
-/// implements the typed trait.
-pub trait DynWorkloadApp: Send + Sync {
-    /// Registration key (see [`WorkloadApp::name`]).
-    fn name(&self) -> &'static str;
-    /// Type-erased [`WorkloadApp::fit`].
-    fn fit_dyn(&self, corpus: &TrainCorpus) -> Result<Box<dyn Any + Send + Sync>>;
-    /// Type-erased [`WorkloadApp::label_batch`]; fails with
-    /// [`QuercError::ModelTypeMismatch`] if `model` was fitted by a
-    /// different app type.
-    fn label_batch_dyn(
-        &self,
-        model: &(dyn Any + Send + Sync),
-        batch: &[EnrichedQuery],
-    ) -> Result<Vec<AppOutput>>;
-    /// Type-erased [`WorkloadApp::embedder`].
-    fn embedder_dyn(&self) -> Option<Arc<dyn Embedder>>;
-    /// Type-erased [`WorkloadApp::index_stats`]; `None` for apps without
-    /// an index plane (or on a model-type mismatch).
-    fn index_stats_dyn(&self, model: &(dyn Any + Send + Sync)) -> Option<querc_index::IndexStats>;
-    /// Type-erased [`WorkloadApp::report`].
-    fn report_dyn(&self, model: &(dyn Any + Send + Sync)) -> Result<AppReport>;
-    /// Type-erased [`WorkloadApp::save_model`]; `None` when the app opts
-    /// out of persistence (or on a model-type mismatch).
-    fn save_model_dyn(&self, model: &(dyn Any + Send + Sync)) -> Option<String>;
-    /// Type-erased [`WorkloadApp::load_model`].
-    fn load_model_dyn(&self, json: &str) -> Result<Box<dyn Any + Send + Sync>>;
-}
-
-impl<A: WorkloadApp> DynWorkloadApp for A {
-    fn name(&self) -> &'static str {
-        WorkloadApp::name(self)
-    }
-
-    fn fit_dyn(&self, corpus: &TrainCorpus) -> Result<Box<dyn Any + Send + Sync>> {
-        Ok(Box::new(self.fit(corpus)?))
-    }
-
-    fn label_batch_dyn(
-        &self,
-        model: &(dyn Any + Send + Sync),
-        batch: &[EnrichedQuery],
-    ) -> Result<Vec<AppOutput>> {
-        let model =
-            model
-                .downcast_ref::<A::Model>()
-                .ok_or_else(|| QuercError::ModelTypeMismatch {
-                    app: WorkloadApp::name(self).to_string(),
-                })?;
-        self.label_batch(model, batch)
-    }
-
-    fn embedder_dyn(&self) -> Option<Arc<dyn Embedder>> {
-        self.embedder()
-    }
-
-    fn index_stats_dyn(&self, model: &(dyn Any + Send + Sync)) -> Option<querc_index::IndexStats> {
-        self.index_stats(model.downcast_ref::<A::Model>()?)
-    }
-
-    fn report_dyn(&self, model: &(dyn Any + Send + Sync)) -> Result<AppReport> {
-        let model =
-            model
-                .downcast_ref::<A::Model>()
-                .ok_or_else(|| QuercError::ModelTypeMismatch {
-                    app: WorkloadApp::name(self).to_string(),
-                })?;
-        Ok(self.report(model))
-    }
-
-    fn save_model_dyn(&self, model: &(dyn Any + Send + Sync)) -> Option<String> {
-        self.save_model(model.downcast_ref::<A::Model>()?)
-    }
-
-    fn load_model_dyn(&self, json: &str) -> Result<Box<dyn Any + Send + Sync>> {
-        Ok(Box::new(self.load_model(json)?))
-    }
+/// Fit the forest the errors, resources and routing apps label with: 40
+/// extra-trees over the corpus embeddings, seeded from `corpus.seed` on
+/// the app's own stream.
+pub(crate) fn fit_forest(
+    embedder: &dyn Embedder,
+    corpus: &TrainCorpus,
+    labels: &[u32],
+    n_classes: usize,
+    stream: u64,
+) -> RandomForest {
+    let vectors = embedder.embed_batch(&corpus.token_corpus());
+    let mut forest = RandomForest::new(ForestConfig::extra_trees(40));
+    let mut rng = Pcg32::with_stream(corpus.seed ^ stream, stream);
+    forest.fit(&vectors, labels, n_classes, &mut rng);
+    forest
 }
 
 #[cfg(test)]

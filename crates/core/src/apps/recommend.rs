@@ -6,7 +6,7 @@
 //! but exactly the structure SnipSuggest-style systems refine — and built
 //! entirely from generic embeddings, no query-fragment engineering.
 
-use super::{AppOutput, AppReport, TrainCorpus, WorkloadApp};
+use super::{AppModel, AppOutput, AppReport, TrainCorpus, WorkloadApp};
 use crate::enriched::EnrichedQuery;
 use crate::error::{QuercError, Result};
 use querc_cluster::{kmeans, KMeansConfig};
@@ -121,19 +121,6 @@ impl QueryRecommender {
             .collect()
     }
 
-    /// Cluster ids for a chunk of pre-tokenized queries through the
-    /// embedder's batched path.
-    pub fn clusters_of_batch(&self, docs: &[Vec<String>]) -> Vec<usize> {
-        let vectors = self.embedder.embed_batch(docs);
-        let refs: Vec<&[f32]> = vectors.iter().map(Vec::as_slice).collect();
-        self.clusters_of_vectors(&refs)
-    }
-
-    /// Search counters of the centroid index.
-    pub fn index_stats(&self) -> IndexStats {
-        self.centroids.stats()
-    }
-
     /// Witness of the most likely next cluster after cluster `from`.
     fn next_witness(&self, from: usize) -> (usize, &str) {
         let row = &self.transitions[from];
@@ -200,7 +187,8 @@ impl QueryRecommender {
     }
 }
 
-/// [`QueryRecommender`] behind the uniform [`WorkloadApp`] interface.
+/// Next-query recommendation as a [`WorkloadApp`]: fits a
+/// [`QueryRecommender`] on the corpus's session histories.
 ///
 /// Labels attached per query: `query_cluster` (embedding-cluster id)
 /// and `next_query` (the witness of the most likely next cluster given
@@ -231,10 +219,6 @@ impl WorkloadApp for RecommendApp {
         "recommend"
     }
 
-    fn task(&self) -> &'static str {
-        "recommend the next query from session transition patterns"
-    }
-
     fn fit(&self, corpus: &TrainCorpus) -> Result<QueryRecommender> {
         QueryRecommender::try_train(
             &corpus.histories,
@@ -242,61 +226,6 @@ impl WorkloadApp for RecommendApp {
             self.k,
             corpus.seed ^ 0x4ec0,
         )
-    }
-
-    fn label_batch(
-        &self,
-        model: &QueryRecommender,
-        batch: &[EnrichedQuery],
-    ) -> Result<Vec<AppOutput>> {
-        let vectors = EnrichedQuery::vectors(batch, model.embedder.as_ref());
-        let refs: Vec<&[f32]> = vectors.iter().map(|v| v.as_slice()).collect();
-        Ok(model
-            .clusters_of_vectors(&refs)
-            .into_iter()
-            .map(|cluster| {
-                let (_, witness) = model.next_witness(cluster);
-                let mut out = AppOutput::new();
-                out.set("query_cluster", cluster.to_string());
-                out.set("next_query", witness);
-                out
-            })
-            .collect())
-    }
-
-    fn embedder(&self) -> Option<Arc<dyn Embedder>> {
-        Some(Arc::clone(&self.embedder))
-    }
-
-    fn index_stats(&self, model: &QueryRecommender) -> Option<IndexStats> {
-        Some(model.index_stats())
-    }
-
-    fn report(&self, model: &QueryRecommender) -> AppReport {
-        AppReport {
-            app: self.name().to_string(),
-            task: self.task().to_string(),
-            trained_queries: model.trained_queries,
-            detail: vec![
-                ("embedder".to_string(), model.embedder.name().to_string()),
-                ("clusters".to_string(), model.num_clusters().to_string()),
-            ],
-        }
-    }
-
-    fn save_model(&self, model: &QueryRecommender) -> Option<String> {
-        let store = model.centroids.store();
-        let mut flat = Vec::with_capacity(store.len() * store.dim());
-        for row in store.iter() {
-            flat.extend_from_slice(row);
-        }
-        crate::persist::to_json(&RecommendState {
-            dim: store.dim(),
-            centroids: flat,
-            witnesses: model.witnesses.clone(),
-            transitions: model.transitions.clone(),
-            trained_queries: model.trained_queries,
-        })
     }
 
     fn load_model(&self, json: &str) -> Result<QueryRecommender> {
@@ -327,6 +256,57 @@ impl WorkloadApp for RecommendApp {
             witnesses: state.witnesses,
             transitions: state.transitions,
             trained_queries: state.trained_queries,
+        })
+    }
+}
+
+impl AppModel for QueryRecommender {
+    fn label_batch(&self, batch: &[EnrichedQuery]) -> Result<Vec<AppOutput>> {
+        let vectors = EnrichedQuery::vectors(batch, self.embedder.as_ref());
+        let refs: Vec<&[f32]> = vectors.iter().map(|v| v.as_slice()).collect();
+        Ok(self
+            .clusters_of_vectors(&refs)
+            .into_iter()
+            .map(|cluster| {
+                let (_, witness) = self.next_witness(cluster);
+                let mut out = AppOutput::new();
+                out.set("query_cluster", cluster.to_string());
+                out.set("next_query", witness);
+                out
+            })
+            .collect())
+    }
+
+    fn embedder(&self) -> Option<Arc<dyn Embedder>> {
+        Some(Arc::clone(&self.embedder))
+    }
+
+    fn index_stats(&self) -> Option<IndexStats> {
+        Some(self.centroids.stats())
+    }
+
+    fn report(&self) -> AppReport {
+        AppReport::new(
+            "recommend",
+            "recommend the next query from session transition patterns",
+            self.trained_queries,
+            self.embedder.as_ref(),
+            &[("clusters", self.num_clusters().to_string())],
+        )
+    }
+
+    fn save_model(&self) -> Option<String> {
+        let store = self.centroids.store();
+        let mut flat = Vec::with_capacity(store.len() * store.dim());
+        for row in store.iter() {
+            flat.extend_from_slice(row);
+        }
+        crate::persist::to_json(&RecommendState {
+            dim: store.dim(),
+            centroids: flat,
+            witnesses: self.witnesses.clone(),
+            transitions: self.transitions.clone(),
+            trained_queries: self.trained_queries,
         })
     }
 }
@@ -413,17 +393,14 @@ mod tests {
         };
         let app = RecommendApp::new(Arc::new(BagOfTokens::new(64, true))).with_clusters(2);
         let model = app.fit(&corpus).unwrap();
-        let out = app
-            .label_batch(
-                &model,
-                &[EnrichedQuery::from_sql(
-                    "select v from point_lookup where k = 999",
-                )],
-            )
+        let out = model
+            .label_batch(&[EnrichedQuery::from_sql(
+                "select v from point_lookup where k = 999",
+            )])
             .unwrap();
         assert!(out[0].get("next_query").unwrap().contains("group by"));
         assert!(out[0].get("query_cluster").is_some());
-        let report = app.report(&model);
+        let report = model.report();
         assert_eq!(report.app, "recommend");
         assert_eq!(report.trained_queries, 100);
         // No histories at all → EmptyCorpus.
@@ -439,7 +416,7 @@ mod tests {
         };
         let app = RecommendApp::new(Arc::new(BagOfTokens::new(64, true))).with_clusters(2);
         let model = app.fit(&corpus).unwrap();
-        let json = app.save_model(&model).expect("recommender is persistable");
+        let json = model.save_model().expect("recommender is persistable");
         let restored = app.load_model(&json).unwrap();
         let batch: Vec<EnrichedQuery> = [
             "select v from point_lookup where k = 999",
@@ -449,8 +426,8 @@ mod tests {
         .map(|s| EnrichedQuery::from_sql(*s))
         .collect();
         assert_eq!(
-            app.label_batch(&model, &batch).unwrap(),
-            app.label_batch(&restored, &batch).unwrap()
+            model.label_batch(&batch).unwrap(),
+            restored.label_batch(&batch).unwrap()
         );
         assert_eq!(restored.num_clusters(), model.num_clusters());
 

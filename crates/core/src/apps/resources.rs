@@ -6,13 +6,11 @@
 //! useful for load balancing and admission control. Labels come straight
 //! from the log's measured runtime/memory columns.
 
-use super::{AppOutput, AppReport, TrainCorpus, WorkloadApp};
+use super::{fit_forest, AppModel, AppOutput, AppReport, TrainCorpus, WorkloadApp};
 use crate::enriched::EnrichedQuery;
 use crate::error::Result;
 use querc_embed::Embedder;
-use querc_learn::{Classifier, ForestConfig, RandomForest};
-use querc_linalg::Pcg32;
-use querc_workloads::QueryRecord;
+use querc_learn::{Classifier, RandomForest};
 use std::sync::Arc;
 
 /// Coarse resource classes.
@@ -76,74 +74,9 @@ impl ResourceBuckets {
     }
 }
 
-/// A trained resource-class predictor.
-pub struct ResourcePredictor {
-    embedder: Arc<dyn Embedder>,
-    model: RandomForest,
-    /// The thresholds the model was trained against.
-    pub buckets: ResourceBuckets,
-}
-
-impl ResourcePredictor {
-    /// Train a forest mapping query embeddings to runtime classes
-    /// derived from each record's measured `runtime_ms`.
-    pub fn train(
-        records: &[QueryRecord],
-        embedder: Arc<dyn Embedder>,
-        buckets: ResourceBuckets,
-        seed: u64,
-    ) -> ResourcePredictor {
-        let docs: Vec<Vec<String>> = records.iter().map(|r| r.tokens()).collect();
-        let vectors = embedder.embed_batch(&docs);
-        let labels: Vec<u32> = records
-            .iter()
-            .map(|r| buckets.classify(r.runtime_ms) as u32)
-            .collect();
-        let mut model = RandomForest::new(ForestConfig::extra_trees(40));
-        let mut rng = Pcg32::with_stream(seed, 0x4e50);
-        model.fit(&vectors, &labels, 3, &mut rng);
-        ResourcePredictor {
-            embedder,
-            model,
-            buckets,
-        }
-    }
-
-    /// Predict the class of an incoming query before running it.
-    pub fn predict(&self, sql: &str) -> ResourceClass {
-        self.predict_vector(&self.embedder.embed_sql(sql))
-    }
-
-    /// Predict the class from a precomputed embedding vector — shared
-    /// by the SQL-level, batched, and serving paths.
-    pub fn predict_vector(&self, v: &[f32]) -> ResourceClass {
-        ResourceClass::from_id(self.model.predict(v))
-    }
-
-    /// Held-out accuracy against measured runtimes.
-    pub fn holdout_accuracy(&self, records: &[QueryRecord]) -> f64 {
-        if records.is_empty() {
-            return 0.0;
-        }
-        let hits = records
-            .iter()
-            .filter(|r| self.predict(&r.sql) == self.buckets.classify(r.runtime_ms))
-            .count();
-        hits as f64 / records.len() as f64
-    }
-
-    /// Predict classes for a chunk of pre-tokenized queries through the
-    /// embedder's batched path.
-    pub fn predict_batch(&self, docs: &[Vec<String>]) -> Vec<ResourceClass> {
-        self.embedder
-            .embed_batch(docs)
-            .iter()
-            .map(|v| self.predict_vector(v))
-            .collect()
-    }
-}
-
-/// [`ResourcePredictor`] behind the uniform [`WorkloadApp`] interface.
+/// Resource-class prediction as a [`WorkloadApp`]: fits a
+/// [`ResourcesModel`] mapping query embeddings to the runtime classes
+/// derived from each record's measured `runtime_ms`.
 ///
 /// Labels attached per query: `resource_class` — the coarse
 /// short/medium/long bucket for admission control and load balancing.
@@ -169,10 +102,12 @@ impl ResourcesApp {
     }
 }
 
-/// A fitted resource model plus its training size.
+/// A fitted runtime-class forest plus the thresholds its classes were
+/// derived from.
 pub struct ResourcesModel {
-    /// The underlying trained predictor (bespoke entry point).
-    pub predictor: ResourcePredictor,
+    embedder: Arc<dyn Embedder>,
+    forest: RandomForest,
+    buckets: ResourceBuckets,
     trained_queries: usize,
 }
 
@@ -183,35 +118,46 @@ impl WorkloadApp for ResourcesApp {
         "resources"
     }
 
-    fn task(&self) -> &'static str {
-        "predict coarse runtime class before execution"
-    }
-
     fn fit(&self, corpus: &TrainCorpus) -> Result<ResourcesModel> {
         corpus.require_records("resources.fit")?;
+        let labels: Vec<u32> = corpus
+            .records
+            .iter()
+            .map(|r| self.buckets.classify(r.runtime_ms) as u32)
+            .collect();
         Ok(ResourcesModel {
-            predictor: ResourcePredictor::train(
-                &corpus.records,
-                Arc::clone(&self.embedder),
-                self.buckets,
-                corpus.seed ^ 0x4e50,
-            ),
+            embedder: Arc::clone(&self.embedder),
+            forest: fit_forest(self.embedder.as_ref(), corpus, &labels, 3, 0x4e50),
+            buckets: self.buckets,
             trained_queries: corpus.len(),
         })
     }
 
-    fn label_batch(
-        &self,
-        model: &ResourcesModel,
-        batch: &[EnrichedQuery],
-    ) -> Result<Vec<AppOutput>> {
-        let vectors = EnrichedQuery::vectors(batch, model.predictor.embedder.as_ref());
+    fn load_model(&self, json: &str) -> Result<ResourcesModel> {
+        let state: ResourcesState = crate::persist::from_json(json, "resources model")?;
+        Ok(ResourcesModel {
+            embedder: Arc::clone(&self.embedder),
+            forest: crate::persist::restore_forest(state.forest, self.embedder.dim())?,
+            buckets: ResourceBuckets {
+                short_below_ms: state.short_below_ms,
+                long_above_ms: state.long_above_ms,
+            },
+            trained_queries: state.trained_queries,
+        })
+    }
+}
+
+impl AppModel for ResourcesModel {
+    fn label_batch(&self, batch: &[EnrichedQuery]) -> Result<Vec<AppOutput>> {
+        let vectors = EnrichedQuery::vectors(batch, self.embedder.as_ref());
         Ok(vectors
             .iter()
             .map(|v| {
-                let class = model.predictor.predict_vector(v);
                 let mut out = AppOutput::new();
-                out.set("resource_class", class.name());
+                out.set(
+                    "resource_class",
+                    ResourceClass::from_id(self.forest.predict(v)).name(),
+                );
                 out
             })
             .collect())
@@ -221,52 +167,31 @@ impl WorkloadApp for ResourcesApp {
         Some(Arc::clone(&self.embedder))
     }
 
-    fn report(&self, model: &ResourcesModel) -> AppReport {
-        AppReport {
-            app: self.name().to_string(),
-            task: self.task().to_string(),
-            trained_queries: model.trained_queries,
-            detail: vec![
+    fn report(&self) -> AppReport {
+        AppReport::new(
+            "resources",
+            "predict coarse runtime class before execution",
+            self.trained_queries,
+            self.embedder.as_ref(),
+            &[
                 (
-                    "embedder".to_string(),
-                    model.predictor.embedder.name().to_string(),
+                    "short_below_ms",
+                    format!("{:.0}", self.buckets.short_below_ms),
                 ),
                 (
-                    "short_below_ms".to_string(),
-                    format!("{:.0}", model.predictor.buckets.short_below_ms),
-                ),
-                (
-                    "long_above_ms".to_string(),
-                    format!("{:.0}", model.predictor.buckets.long_above_ms),
+                    "long_above_ms",
+                    format!("{:.0}", self.buckets.long_above_ms),
                 ),
             ],
-        }
+        )
     }
 
-    fn save_model(&self, model: &ResourcesModel) -> Option<String> {
+    fn save_model(&self) -> Option<String> {
         crate::persist::to_json(&ResourcesState {
-            forest: model.predictor.model.to_state(),
-            short_below_ms: model.predictor.buckets.short_below_ms,
-            long_above_ms: model.predictor.buckets.long_above_ms,
-            trained_queries: model.trained_queries,
-        })
-    }
-
-    fn load_model(&self, json: &str) -> Result<ResourcesModel> {
-        let state: ResourcesState = crate::persist::from_json(json, "resources model")?;
-        crate::persist::check_forest(&state.forest, self.embedder.dim())?;
-        let model =
-            RandomForest::from_state(state.forest).map_err(crate::persist::bad_learn_state)?;
-        Ok(ResourcesModel {
-            predictor: ResourcePredictor {
-                embedder: Arc::clone(&self.embedder),
-                model,
-                buckets: ResourceBuckets {
-                    short_below_ms: state.short_below_ms,
-                    long_above_ms: state.long_above_ms,
-                },
-            },
-            trained_queries: state.trained_queries,
+            forest: self.forest.to_state(),
+            short_below_ms: self.buckets.short_below_ms,
+            long_above_ms: self.buckets.long_above_ms,
+            trained_queries: self.trained_queries,
         })
     }
 }
@@ -285,6 +210,7 @@ struct ResourcesState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use querc_workloads::QueryRecord;
 
     fn records(offset: u64) -> Vec<QueryRecord> {
         (0..90)
@@ -325,69 +251,81 @@ mod tests {
         assert_eq!(b.classify(600.0), ResourceClass::Long);
     }
 
+    fn app() -> ResourcesApp {
+        ResourcesApp::new(Arc::new(querc_embed::BagOfTokens::new(64, true)))
+    }
+
+    /// The `resource_class` label of each query.
+    fn classes(model: &ResourcesModel, sqls: &[&str]) -> Vec<String> {
+        let batch: Vec<EnrichedQuery> = sqls.iter().map(|s| EnrichedQuery::from_sql(*s)).collect();
+        model
+            .label_batch(&batch)
+            .unwrap()
+            .iter()
+            .map(|out| out.get("resource_class").unwrap().to_string())
+            .collect()
+    }
+
     #[test]
     fn predicts_classes_from_syntax() {
-        let p = ResourcePredictor::train(
-            &records(0),
-            Arc::new(querc_embed::BagOfTokens::new(64, true)),
-            ResourceBuckets::default(),
-            1,
-        );
+        let model = app()
+            .fit(&TrainCorpus::from_records(records(0), 1 ^ 0x4e50))
+            .unwrap();
         assert_eq!(
-            p.predict("select v from kv_store where k = 999"),
-            ResourceClass::Short
-        );
-        assert_eq!(
-            p.predict(
-                "select a.g, sum(b.v) from big_facts a join big_facts b on a.k = b.k group by a.g"
+            classes(
+                &model,
+                &[
+                    "select v from kv_store where k = 999",
+                    "select a.g, sum(b.v) from big_facts a join big_facts b on a.k = b.k group by a.g",
+                ]
             ),
-            ResourceClass::Long
+            ["short", "long"]
         );
     }
 
     #[test]
     fn holdout_accuracy_is_high_on_separable_shapes() {
-        let p = ResourcePredictor::train(
-            &records(0),
-            Arc::new(querc_embed::BagOfTokens::new(64, true)),
-            ResourceBuckets::default(),
-            2,
-        );
-        let acc = p.holdout_accuracy(&records(5));
+        let model = app()
+            .fit(&TrainCorpus::from_records(records(0), 2 ^ 0x4e50))
+            .unwrap();
+        let held = records(5);
+        let sqls: Vec<&str> = held.iter().map(|r| r.sql.as_str()).collect();
+        let buckets = ResourceBuckets::default();
+        let hits = classes(&model, &sqls)
+            .iter()
+            .zip(&held)
+            .filter(|(c, r)| *c == buckets.classify(r.runtime_ms).name())
+            .count();
+        let acc = hits as f64 / held.len() as f64;
         assert!(acc > 0.9, "accuracy {acc}");
     }
 
     #[test]
     fn resources_app_implements_workload_app() {
         let corpus = TrainCorpus::from_records(records(0), 1);
-        let app = ResourcesApp::new(Arc::new(querc_embed::BagOfTokens::new(64, true)));
-        let model = app.fit(&corpus).unwrap();
-        let out = app
-            .label_batch(
-                &model,
-                &[
-                    EnrichedQuery::from_sql("select v from kv_store where k = 999"),
-                    EnrichedQuery::from_sql(
-                        "select a.g, sum(b.v) from big_facts a join big_facts b on a.k = b.k group by a.g",
-                    ),
-                ],
-            )
+        let model = app().fit(&corpus).unwrap();
+        let out = model
+            .label_batch(&[
+                EnrichedQuery::from_sql("select v from kv_store where k = 999"),
+                EnrichedQuery::from_sql(
+                    "select a.g, sum(b.v) from big_facts a join big_facts b on a.k = b.k group by a.g",
+                ),
+            ])
             .unwrap();
         assert_eq!(out[0].get("resource_class"), Some("short"));
         assert_eq!(out[1].get("resource_class"), Some("long"));
-        assert_eq!(app.report(&model).app, "resources");
+        assert_eq!(model.report().app, "resources");
     }
 
     #[test]
     fn model_round_trips_through_save_load() {
         let corpus = TrainCorpus::from_records(records(0), 4);
-        let app = ResourcesApp::new(Arc::new(querc_embed::BagOfTokens::new(64, true)))
-            .with_buckets(ResourceBuckets {
-                short_below_ms: 50.0,
-                long_above_ms: 900.0,
-            });
+        let app = app().with_buckets(ResourceBuckets {
+            short_below_ms: 50.0,
+            long_above_ms: 900.0,
+        });
         let model = app.fit(&corpus).unwrap();
-        let json = app.save_model(&model).expect("forest is persistable");
+        let json = model.save_model().expect("forest is persistable");
         let restored = app.load_model(&json).unwrap();
         let batch: Vec<EnrichedQuery> = [
             "select v from kv_store where k = 999",
@@ -398,11 +336,11 @@ mod tests {
         .map(|s| EnrichedQuery::from_sql(*s))
         .collect();
         assert_eq!(
-            app.label_batch(&model, &batch).unwrap(),
-            app.label_batch(&restored, &batch).unwrap()
+            model.label_batch(&batch).unwrap(),
+            restored.label_batch(&batch).unwrap()
         );
-        assert!((restored.predictor.buckets.long_above_ms - 900.0).abs() < 1e-12);
-        assert_eq!(app.report(&restored), app.report(&model));
+        assert!((restored.buckets.long_above_ms - 900.0).abs() < 1e-12);
+        assert_eq!(restored.report(), model.report());
     }
 
     #[test]

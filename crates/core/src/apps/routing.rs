@@ -8,121 +8,16 @@
 //! flag queries whose predicted cluster disagrees with the assigned one —
 //! surfacing policy misconfigurations without parsing a single rule.
 
-use super::{AppOutput, AppReport, TrainCorpus, WorkloadApp};
-use crate::classifier::TrainedLabeler;
+use super::{fit_forest, AppModel, AppOutput, AppReport, TrainCorpus, WorkloadApp};
+use crate::classifier::LabelMap;
 use crate::enriched::EnrichedQuery;
 use crate::error::Result;
 use querc_embed::Embedder;
-use querc_learn::{Classifier, ForestConfig, RandomForest};
-use querc_linalg::Pcg32;
-use querc_workloads::QueryRecord;
+use querc_learn::RandomForest;
 use std::sync::Arc;
 
-/// One suspected misrouting.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoutingAnomaly {
-    /// Index into the checked batch.
-    pub index: usize,
-    /// The cluster the routing policy actually assigned.
-    pub assigned_cluster: String,
-    /// The cluster the learned model expected.
-    pub predicted_cluster: String,
-    /// Classifier confidence in the predicted cluster (mean tree vote).
-    pub confidence: f64,
-}
-
-/// A trained routing-policy checker.
-pub struct RoutingChecker {
-    embedder: Arc<dyn Embedder>,
-    model: RandomForest,
-    labels: crate::classifier::LabelMap,
-    /// Only disagreements at or above this confidence are reported.
-    pub min_confidence: f64,
-}
-
-impl RoutingChecker {
-    /// Learn historical routing from labeled records.
-    pub fn train(
-        records: &[QueryRecord],
-        embedder: Arc<dyn Embedder>,
-        min_confidence: f64,
-        seed: u64,
-    ) -> RoutingChecker {
-        let docs: Vec<Vec<String>> = records.iter().map(|r| r.tokens()).collect();
-        let vectors = embedder.embed_batch(&docs);
-        let (labels, ids) =
-            crate::classifier::LabelMap::from_labels(records.iter().map(|r| r.cluster.as_str()));
-        let mut model = RandomForest::new(ForestConfig::extra_trees(40));
-        let mut rng = Pcg32::with_stream(seed, 0x4072);
-        model.fit(&vectors, &ids, labels.len().max(1), &mut rng);
-        RoutingChecker {
-            embedder,
-            model,
-            labels,
-            min_confidence,
-        }
-    }
-
-    /// Check a batch of assignments; returns suspected misroutings.
-    /// Embeds through the batched path.
-    pub fn check(&self, records: &[QueryRecord]) -> Vec<RoutingAnomaly> {
-        let docs: Vec<Vec<String>> = records.iter().map(|r| r.tokens()).collect();
-        self.predict_batch(&docs)
-            .into_iter()
-            .zip(records)
-            .enumerate()
-            .filter_map(|(index, ((predicted, confidence), r))| {
-                (predicted != r.cluster && confidence >= self.min_confidence).then_some(
-                    RoutingAnomaly {
-                        index,
-                        assigned_cluster: r.cluster.clone(),
-                        predicted_cluster: predicted,
-                        confidence,
-                    },
-                )
-            })
-            .collect()
-    }
-
-    /// Predict the policy cluster for a brand-new query.
-    pub fn predict(&self, sql: &str) -> String {
-        self.predict_vector(&self.embedder.embed_sql(sql)).0
-    }
-
-    /// Predict `(cluster, confidence)` from a precomputed embedding
-    /// vector — the single decision rule shared by the SQL-level,
-    /// batched, and serving paths.
-    pub fn predict_vector(&self, v: &[f32]) -> (String, f64) {
-        let proba = self.model.proba(v);
-        match querc_linalg::stats::argmax(&proba) {
-            Some(best) => (
-                self.labels
-                    .name(best as u32)
-                    .unwrap_or("<unknown>")
-                    .to_string(),
-                proba[best] as f64,
-            ),
-            None => ("<unknown>".to_string(), 0.0),
-        }
-    }
-
-    /// Predict `(cluster, confidence)` for a chunk of pre-tokenized
-    /// queries through the embedder's batched path.
-    pub fn predict_batch(&self, docs: &[Vec<String>]) -> Vec<(String, f64)> {
-        self.embedder
-            .embed_batch(docs)
-            .iter()
-            .map(|v| self.predict_vector(v))
-            .collect()
-    }
-
-    /// Distinct clusters seen at training time.
-    pub fn known_clusters(&self) -> usize {
-        self.labels.len()
-    }
-}
-
-/// [`RoutingChecker`] behind the uniform [`WorkloadApp`] interface.
+/// Routing-policy checking as a [`WorkloadApp`]: fits a [`RoutingModel`]
+/// on historical (query → cluster) assignments.
 ///
 /// Labels attached per query: `predicted_cluster`,
 /// `routing_confidence`, plus `routing_anomaly=true` when the query
@@ -151,10 +46,13 @@ impl RoutingApp {
     }
 }
 
-/// A fitted routing model plus its training size.
+/// A fitted cluster forest, its cluster vocabulary, and the confidence
+/// floor for flagging a disagreement.
 pub struct RoutingModel {
-    /// The underlying trained checker (bespoke entry point).
-    pub checker: RoutingChecker,
+    embedder: Arc<dyn Embedder>,
+    forest: RandomForest,
+    clusters: LabelMap,
+    min_confidence: f64,
     trained_queries: usize,
 }
 
@@ -165,34 +63,52 @@ impl WorkloadApp for RoutingApp {
         "routing"
     }
 
-    fn task(&self) -> &'static str {
-        "learn historical query routing; flag assignments the model contradicts"
-    }
-
     fn fit(&self, corpus: &TrainCorpus) -> Result<RoutingModel> {
         corpus.require_records("routing.fit")?;
+        let (clusters, ids) =
+            LabelMap::from_labels(corpus.records.iter().map(|r| r.cluster.as_str()));
+        let n_classes = clusters.len().max(1);
         Ok(RoutingModel {
-            checker: RoutingChecker::train(
-                &corpus.records,
-                Arc::clone(&self.embedder),
-                self.min_confidence,
-                corpus.seed ^ 0x4072,
-            ),
+            embedder: Arc::clone(&self.embedder),
+            forest: fit_forest(self.embedder.as_ref(), corpus, &ids, n_classes, 0x4072),
+            clusters,
+            min_confidence: self.min_confidence,
             trained_queries: corpus.len(),
         })
     }
 
-    fn label_batch(&self, model: &RoutingModel, batch: &[EnrichedQuery]) -> Result<Vec<AppOutput>> {
-        let vectors = EnrichedQuery::vectors(batch, model.checker.embedder.as_ref());
+    fn load_model(&self, json: &str) -> Result<RoutingModel> {
+        let state: RoutingState = crate::persist::from_json(json, "routing model")?;
+        Ok(RoutingModel {
+            embedder: Arc::clone(&self.embedder),
+            forest: crate::persist::restore_forest(state.forest, self.embedder.dim())?,
+            clusters: LabelMap::from_names(&state.labels)
+                .ok_or_else(|| crate::persist::corrupt("routing model: duplicate cluster names"))?,
+            min_confidence: state.min_confidence,
+            trained_queries: state.trained_queries,
+        })
+    }
+}
+
+impl AppModel for RoutingModel {
+    fn label_batch(&self, batch: &[EnrichedQuery]) -> Result<Vec<AppOutput>> {
+        let vectors = EnrichedQuery::vectors(batch, self.embedder.as_ref());
         Ok(batch
             .iter()
             .zip(vectors)
             .map(|(q, v)| {
-                let (cluster, confidence) = model.checker.predict_vector(&v);
+                // The most-voted cluster and its mean tree vote.
+                let proba = self.forest.proba(&v);
+                let (cluster, confidence) = match querc_linalg::stats::argmax(&proba) {
+                    Some(best) => (
+                        self.clusters.name(best as u32).unwrap_or("<unknown>"),
+                        proba[best] as f64,
+                    ),
+                    None => ("<unknown>", 0.0),
+                };
                 let mut out = AppOutput::new();
                 if let Some(assigned) = q.get("cluster") {
-                    let anomalous =
-                        assigned != cluster && confidence >= model.checker.min_confidence;
+                    let anomalous = assigned != cluster && confidence >= self.min_confidence;
                     out.set("routing_anomaly", anomalous.to_string());
                 }
                 out.set("predicted_cluster", cluster);
@@ -206,52 +122,25 @@ impl WorkloadApp for RoutingApp {
         Some(Arc::clone(&self.embedder))
     }
 
-    fn report(&self, model: &RoutingModel) -> AppReport {
-        AppReport {
-            app: self.name().to_string(),
-            task: self.task().to_string(),
-            trained_queries: model.trained_queries,
-            detail: vec![
-                (
-                    "embedder".to_string(),
-                    model.checker.embedder.name().to_string(),
-                ),
-                (
-                    "clusters".to_string(),
-                    model.checker.known_clusters().to_string(),
-                ),
-                (
-                    "min_confidence".to_string(),
-                    format!("{:.2}", model.checker.min_confidence),
-                ),
+    fn report(&self) -> AppReport {
+        AppReport::new(
+            "routing",
+            "learn historical query routing; flag assignments the model contradicts",
+            self.trained_queries,
+            self.embedder.as_ref(),
+            &[
+                ("clusters", self.clusters.len().to_string()),
+                ("min_confidence", format!("{:.2}", self.min_confidence)),
             ],
-        }
+        )
     }
 
-    fn save_model(&self, model: &RoutingModel) -> Option<String> {
+    fn save_model(&self) -> Option<String> {
         crate::persist::to_json(&RoutingState {
-            forest: model.checker.model.to_state(),
-            labels: model.checker.labels.names().to_vec(),
-            min_confidence: model.checker.min_confidence,
-            trained_queries: model.trained_queries,
-        })
-    }
-
-    fn load_model(&self, json: &str) -> Result<RoutingModel> {
-        let state: RoutingState = crate::persist::from_json(json, "routing model")?;
-        crate::persist::check_forest(&state.forest, self.embedder.dim())?;
-        let model =
-            RandomForest::from_state(state.forest).map_err(crate::persist::bad_learn_state)?;
-        let labels = crate::classifier::LabelMap::from_names(&state.labels)
-            .ok_or_else(|| crate::persist::corrupt("routing model: duplicate cluster names"))?;
-        Ok(RoutingModel {
-            checker: RoutingChecker {
-                embedder: Arc::clone(&self.embedder),
-                model,
-                labels,
-                min_confidence: state.min_confidence,
-            },
-            trained_queries: state.trained_queries,
+            forest: self.forest.to_state(),
+            labels: self.clusters.names().to_vec(),
+            min_confidence: self.min_confidence,
+            trained_queries: self.trained_queries,
         })
     }
 }
@@ -266,29 +155,11 @@ struct RoutingState {
     trained_queries: usize,
 }
 
-/// Convenience: a plain (embedder, labeler) cluster classifier for use in
-/// the generic labeling pipeline.
-pub fn train_cluster_labeler(
-    records: &[QueryRecord],
-    embedder: &Arc<dyn Embedder>,
-    seed: u64,
-) -> TrainedLabeler {
-    let docs: Vec<Vec<String>> = records.iter().map(|r| r.tokens()).collect();
-    let vectors = embedder.embed_batch(&docs);
-    let names: Vec<&str> = records.iter().map(|r| r.cluster.as_str()).collect();
-    let mut rng = Pcg32::with_stream(seed, 0x4073);
-    TrainedLabeler::train(
-        RandomForest::new(ForestConfig::extra_trees(40)),
-        &vectors,
-        &names,
-        &mut rng,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use querc_embed::BagOfTokens;
+    use querc_workloads::QueryRecord;
 
     fn records() -> Vec<QueryRecord> {
         (0..60)
@@ -319,45 +190,57 @@ mod tests {
             .collect()
     }
 
+    /// A model fitted on `records()` with the forest seed `seed`.
+    fn model(min_confidence: f64, seed: u64) -> RoutingModel {
+        RoutingApp::new(Arc::new(BagOfTokens::new(64, true)))
+            .with_min_confidence(min_confidence)
+            .fit(&TrainCorpus::from_records(records(), seed ^ 0x4072))
+            .unwrap()
+    }
+
+    /// Indices of the records whose assigned cluster is flagged.
+    fn anomalies(model: &RoutingModel, recs: &[QueryRecord]) -> Vec<usize> {
+        let batch: Vec<EnrichedQuery> = recs
+            .iter()
+            .map(|r| EnrichedQuery::new(crate::LabeledQuery::from_record(r)))
+            .collect();
+        let out = model.label_batch(&batch).unwrap();
+        (0..out.len())
+            .filter(|&i| out[i].get("routing_anomaly") == Some("true"))
+            .collect()
+    }
+
     #[test]
     fn consistent_routing_raises_no_anomalies() {
         let recs = records();
-        let checker = RoutingChecker::train(&recs, Arc::new(BagOfTokens::new(64, true)), 0.6, 1);
-        let anomalies = checker.check(&recs);
+        let flagged = anomalies(&model(0.6, 1), &recs);
         assert!(
-            anomalies.len() <= recs.len() / 10,
-            "clean assignments flagged: {anomalies:?}"
+            flagged.len() <= recs.len() / 10,
+            "clean assignments flagged: {flagged:?}"
         );
     }
 
     #[test]
     fn misrouted_query_is_detected() {
         let mut recs = records();
-        // A BI query somehow routed to the ETL cluster.
+        // A BI query somehow routed to the ETL cluster; the model is
+        // trained on the CLEAN history.
         recs[1].cluster = "etl-cluster".into();
-        let checker = RoutingChecker::train(
-            &records(), // train on CLEAN history
-            Arc::new(BagOfTokens::new(64, true)),
-            0.6,
-            2,
-        );
-        let anomalies = checker.check(&recs);
-        assert!(anomalies.iter().any(|a| a.index == 1), "{anomalies:?}");
-        let a = anomalies.iter().find(|a| a.index == 1).unwrap();
-        assert_eq!(a.predicted_cluster, "bi-cluster");
-        assert_eq!(a.assigned_cluster, "etl-cluster");
+        let model = model(0.6, 2);
+        assert!(anomalies(&model, &recs).contains(&1));
+        let out = model
+            .label_batch(&[EnrichedQuery::new(crate::LabeledQuery::from_record(
+                &recs[1],
+            ))])
+            .unwrap();
+        assert_eq!(out[0].get("predicted_cluster"), Some("bi-cluster"));
     }
 
     #[test]
     fn confidence_threshold_suppresses_weak_flags() {
         let recs = records();
-        let strict = RoutingChecker::train(
-            &recs,
-            Arc::new(BagOfTokens::new(64, true)),
-            1.01, // impossible confidence
-            3,
-        );
-        assert!(strict.check(&recs).is_empty());
+        // An impossible confidence floor flags nothing.
+        assert!(anomalies(&model(1.01, 3), &recs).is_empty());
     }
 
     #[test]
@@ -370,12 +253,12 @@ mod tests {
             EnrichedQuery::from_sql("select sum(x) from finance_cube group by dim1");
         misrouted.set("cluster", "etl-cluster");
         let clean = EnrichedQuery::from_sql("insert into lake_events select * from staging_1");
-        let out = app.label_batch(&model, &[misrouted, clean]).unwrap();
+        let out = model.label_batch(&[misrouted, clean]).unwrap();
         assert_eq!(out[0].get("predicted_cluster"), Some("bi-cluster"));
         assert_eq!(out[0].get("routing_anomaly"), Some("true"));
         assert_eq!(out[1].get("predicted_cluster"), Some("etl-cluster"));
         assert_eq!(out[1].get("routing_anomaly"), None);
-        let report = app.report(&model);
+        let report = model.report();
         assert_eq!(report.app, "routing");
         assert_eq!(report.trained_queries, 60);
     }
@@ -385,7 +268,7 @@ mod tests {
         let corpus = TrainCorpus::from_records(records(), 5);
         let app = RoutingApp::new(Arc::new(BagOfTokens::new(64, true))).with_min_confidence(0.55);
         let model = app.fit(&corpus).unwrap();
-        let json = app.save_model(&model).expect("forest is persistable");
+        let json = model.save_model().expect("forest is persistable");
         let restored = app.load_model(&json).unwrap();
         let mut misrouted =
             EnrichedQuery::from_sql("select sum(x) from finance_cube group by dim1");
@@ -393,25 +276,23 @@ mod tests {
         let clean = EnrichedQuery::from_sql("insert into lake_events select * from staging_1");
         let batch = [misrouted, clean];
         assert_eq!(
-            app.label_batch(&model, &batch).unwrap(),
-            app.label_batch(&restored, &batch).unwrap()
+            model.label_batch(&batch).unwrap(),
+            restored.label_batch(&batch).unwrap()
         );
         // The confidence floor is model state, not app state.
-        assert!((restored.checker.min_confidence - 0.55).abs() < 1e-12);
-        assert_eq!(restored.checker.known_clusters(), 2);
+        assert!((restored.min_confidence - 0.55).abs() < 1e-12);
+        assert_eq!(restored.clusters.len(), 2);
     }
 
     #[test]
     fn predict_routes_new_queries() {
-        let checker =
-            RoutingChecker::train(&records(), Arc::new(BagOfTokens::new(64, true)), 0.5, 4);
-        assert_eq!(
-            checker.predict("select sum(y) from finance_cube group by dim9"),
-            "bi-cluster"
-        );
-        assert_eq!(
-            checker.predict("insert into lake_events select * from staging_9"),
-            "etl-cluster"
-        );
+        let out = model(0.5, 4)
+            .label_batch(&[
+                EnrichedQuery::from_sql("select sum(y) from finance_cube group by dim9"),
+                EnrichedQuery::from_sql("insert into lake_events select * from staging_9"),
+            ])
+            .unwrap();
+        assert_eq!(out[0].get("predicted_cluster"), Some("bi-cluster"));
+        assert_eq!(out[1].get("predicted_cluster"), Some("etl-cluster"));
     }
 }

@@ -10,7 +10,7 @@
 //! and uniform random sampling (what a tuning advisor's native compressor
 //! does).
 
-use super::{AppOutput, AppReport, TrainCorpus, WorkloadApp};
+use super::{AppModel, AppOutput, AppReport, TrainCorpus, WorkloadApp};
 use crate::enriched::EnrichedQuery;
 use crate::error::Result;
 use querc_cluster::{choose_k_elbow, kmeans, KMeansConfig};
@@ -149,6 +149,7 @@ impl SummarizeApp {
 
 /// A fitted workload summary: cluster centroids plus their witnesses.
 pub struct SummaryModel {
+    embedder: Arc<dyn Embedder>,
     /// Exact index over the summary centroids; serving assigns each
     /// incoming query's vector with a k=1 search.
     centroids: FlatIndex,
@@ -164,16 +165,6 @@ impl SummaryModel {
     pub fn witnesses(&self) -> &[String] {
         &self.witnesses
     }
-
-    /// Summary-cluster id of a precomputed embedding vector.
-    pub fn cluster_of_vector(&self, v: &[f32]) -> usize {
-        self.centroids.nearest(v).unwrap_or(0) as usize
-    }
-
-    /// Search counters of the centroid index.
-    pub fn index_stats(&self) -> IndexStats {
-        self.centroids.stats()
-    }
 }
 
 impl WorkloadApp for SummarizeApp {
@@ -181,10 +172,6 @@ impl WorkloadApp for SummarizeApp {
 
     fn name(&self) -> &'static str {
         "summarize"
-    }
-
-    fn task(&self) -> &'static str {
-        "compress the workload to cluster witnesses for index tuning"
     }
 
     fn fit(&self, corpus: &TrainCorpus) -> Result<SummaryModel> {
@@ -209,67 +196,11 @@ impl WorkloadApp for SummarizeApp {
             .map(|&i| corpus.records[i].sql.clone())
             .collect();
         Ok(SummaryModel {
+            embedder: Arc::clone(&self.embedder),
             centroids: FlatIndex::from_rows(&result.centroids, Metric::Euclidean),
             witnesses,
             witness_indices,
             trained_queries: corpus.len(),
-        })
-    }
-
-    fn label_batch(&self, model: &SummaryModel, batch: &[EnrichedQuery]) -> Result<Vec<AppOutput>> {
-        let vectors = EnrichedQuery::vectors(batch, self.embedder.as_ref());
-        let refs: Vec<&[f32]> = vectors.iter().map(|v| v.as_slice()).collect();
-        // One batched k=1 search over the centroid index for the chunk.
-        Ok(model
-            .centroids
-            .nearest_batch(&refs)
-            .into_iter()
-            .map(|c| {
-                let cluster = c.unwrap_or(0) as usize;
-                let mut out = AppOutput::new();
-                out.set("summary_cluster", cluster.to_string());
-                out.set("summary_witness", model.witnesses[cluster].clone());
-                out
-            })
-            .collect())
-    }
-
-    fn embedder(&self) -> Option<Arc<dyn Embedder>> {
-        Some(Arc::clone(&self.embedder))
-    }
-
-    fn index_stats(&self, model: &SummaryModel) -> Option<IndexStats> {
-        Some(model.index_stats())
-    }
-
-    fn report(&self, model: &SummaryModel) -> AppReport {
-        AppReport {
-            app: self.name().to_string(),
-            task: self.task().to_string(),
-            trained_queries: model.trained_queries,
-            detail: vec![
-                ("embedder".to_string(), self.embedder.name().to_string()),
-                ("clusters".to_string(), model.centroids.len().to_string()),
-                (
-                    "witnesses".to_string(),
-                    model.witness_indices.len().to_string(),
-                ),
-            ],
-        }
-    }
-
-    fn save_model(&self, model: &SummaryModel) -> Option<String> {
-        let store = model.centroids.store();
-        let mut flat = Vec::with_capacity(store.len() * store.dim());
-        for row in store.iter() {
-            flat.extend_from_slice(row);
-        }
-        crate::persist::to_json(&SummaryState {
-            dim: store.dim(),
-            centroids: flat,
-            witnesses: model.witnesses.clone(),
-            witness_indices: model.witness_indices.clone(),
-            trained_queries: model.trained_queries,
         })
     }
 
@@ -289,10 +220,67 @@ impl WorkloadApp for SummarizeApp {
             )));
         }
         Ok(SummaryModel {
+            embedder: Arc::clone(&self.embedder),
             centroids: FlatIndex::from_rows(&rows, Metric::Euclidean),
             witnesses: state.witnesses,
             witness_indices: state.witness_indices,
             trained_queries: state.trained_queries,
+        })
+    }
+}
+
+impl AppModel for SummaryModel {
+    fn label_batch(&self, batch: &[EnrichedQuery]) -> Result<Vec<AppOutput>> {
+        let vectors = EnrichedQuery::vectors(batch, self.embedder.as_ref());
+        let refs: Vec<&[f32]> = vectors.iter().map(|v| v.as_slice()).collect();
+        // One batched k=1 search over the centroid index for the chunk.
+        Ok(self
+            .centroids
+            .nearest_batch(&refs)
+            .into_iter()
+            .map(|c| {
+                let cluster = c.unwrap_or(0) as usize;
+                let mut out = AppOutput::new();
+                out.set("summary_cluster", cluster.to_string());
+                out.set("summary_witness", self.witnesses[cluster].clone());
+                out
+            })
+            .collect())
+    }
+
+    fn embedder(&self) -> Option<Arc<dyn Embedder>> {
+        Some(Arc::clone(&self.embedder))
+    }
+
+    fn index_stats(&self) -> Option<IndexStats> {
+        Some(self.centroids.stats())
+    }
+
+    fn report(&self) -> AppReport {
+        AppReport::new(
+            "summarize",
+            "compress the workload to cluster witnesses for index tuning",
+            self.trained_queries,
+            self.embedder.as_ref(),
+            &[
+                ("clusters", self.centroids.len().to_string()),
+                ("witnesses", self.witness_indices.len().to_string()),
+            ],
+        )
+    }
+
+    fn save_model(&self) -> Option<String> {
+        let store = self.centroids.store();
+        let mut flat = Vec::with_capacity(store.len() * store.dim());
+        for row in store.iter() {
+            flat.extend_from_slice(row);
+        }
+        crate::persist::to_json(&SummaryState {
+            dim: store.dim(),
+            centroids: flat,
+            witnesses: self.witnesses.clone(),
+            witness_indices: self.witness_indices.clone(),
+            trained_queries: self.trained_queries,
         })
     }
 }
@@ -451,14 +439,11 @@ mod tests {
             });
         let model = app.fit(&corpus).unwrap();
         assert!(!model.witnesses().is_empty() && model.witnesses().len() <= 6);
-        let out = app
-            .label_batch(
-                &model,
-                &[
-                    EnrichedQuery::from_sql("insert into raw_events values (99, 'x')"),
-                    EnrichedQuery::from_sql("select * from users where user_id = 99"),
-                ],
-            )
+        let out = model
+            .label_batch(&[
+                EnrichedQuery::from_sql("insert into raw_events values (99, 'x')"),
+                EnrichedQuery::from_sql("select * from users where user_id = 99"),
+            ])
             .unwrap();
         assert!(out[0].get("summary_cluster").is_some());
         assert!(out[0].get("summary_witness").is_some());
@@ -468,7 +453,7 @@ mod tests {
             out[1].get("summary_cluster"),
             "insert and lookup should not share a cluster"
         );
-        assert_eq!(app.report(&model).app, "summarize");
+        assert_eq!(model.report().app, "summarize");
     }
 
     #[test]
@@ -496,7 +481,7 @@ mod tests {
                 ..Default::default()
             });
         let model = app.fit(&corpus).unwrap();
-        let json = app.save_model(&model).expect("centroids are persistable");
+        let json = model.save_model().expect("centroids are persistable");
         let restored = app.load_model(&json).unwrap();
         let batch: Vec<EnrichedQuery> = [
             "insert into raw_events values (99, 'x')",
@@ -507,8 +492,8 @@ mod tests {
         .map(|s| EnrichedQuery::from_sql(*s))
         .collect();
         assert_eq!(
-            app.label_batch(&model, &batch).unwrap(),
-            app.label_batch(&restored, &batch).unwrap()
+            model.label_batch(&batch).unwrap(),
+            restored.label_batch(&batch).unwrap()
         );
         assert_eq!(restored.witnesses(), model.witnesses());
         assert_eq!(restored.witness_indices, model.witness_indices);

@@ -271,23 +271,6 @@ impl QueryClassifier {
         self.labeler.predict(&v).to_string()
     }
 
-    /// Label pre-tokenized input (when the caller already normalized).
-    pub fn label_tokens(&self, tokens: &[String]) -> String {
-        let v = self.embedder.embed(tokens);
-        self.labeler.predict(&v).to_string()
-    }
-
-    /// Label a chunk of pre-tokenized queries through the embedder's
-    /// batched path. Output `i` is the label of `docs[i]`, identical to
-    /// what [`QueryClassifier::label_tokens`] would return.
-    pub fn label_tokens_batch(&self, docs: &[Vec<String>]) -> Vec<String> {
-        self.embedder
-            .embed_batch(docs)
-            .iter()
-            .map(|v| self.labeler.predict(v).to_string())
-            .collect()
-    }
-
     /// Label a chunk of **precomputed** vectors — the Qworker hot loop
     /// on the embed-once ingress plane. `vectors[i]` must come from this
     /// classifier's embedder (same [`querc_embed::Embedder::cache_namespace`]);
@@ -371,29 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn label_sql_and_label_tokens_agree() {
-        let clf = train_demo_classifier();
-        let sql = "select col1 from sales_orders where x = 5";
-        let tokens = querc_embed::sql_tokens(sql);
-        assert_eq!(clf.label_sql(sql), clf.label_tokens(&tokens));
-    }
-
-    #[test]
-    fn label_tokens_batch_matches_single_path() {
-        let clf = train_demo_classifier();
-        let sqls = [
-            "select col1 from sales_orders where x = 5",
-            "insert into app_logs values (9, 'event')",
-            "select col4 from sales_orders where x = 77",
-        ];
-        let docs: Vec<Vec<String>> = sqls.iter().map(|s| querc_embed::sql_tokens(s)).collect();
-        let batch = clf.label_tokens_batch(&docs);
-        for (doc, label) in docs.iter().zip(&batch) {
-            assert_eq!(*label, clf.label_tokens(doc));
-        }
-    }
-
-    #[test]
     fn label_vectors_batch_matches_token_path() {
         let clf = train_demo_classifier();
         let sqls = [
@@ -407,10 +367,8 @@ mod tests {
             .into_iter()
             .map(Arc::new)
             .collect();
-        assert_eq!(
-            clf.label_vectors_batch(&vectors),
-            clf.label_tokens_batch(&docs)
-        );
+        let per_query: Vec<String> = sqls.iter().map(|s| clf.label_sql(s)).collect();
+        assert_eq!(clf.label_vectors_batch(&vectors), per_query);
     }
 
     #[test]

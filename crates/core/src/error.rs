@@ -62,12 +62,6 @@ pub enum QuercError {
         /// Which operation hit the closed channel.
         context: &'static str,
     },
-    /// An app's `label_batch` was handed a model fitted by a different
-    /// app type (only reachable through the type-erased serving path).
-    ModelTypeMismatch {
-        /// The application whose model downcast failed.
-        app: String,
-    },
     /// Catch-all for app-specific training failures.
     Training {
         /// Which component failed.
@@ -124,9 +118,6 @@ impl fmt::Display for QuercError {
             }
             QuercError::ChannelClosed { context } => {
                 write!(f, "{context}: serving channel closed")
-            }
-            QuercError::ModelTypeMismatch { app } => {
-                write!(f, "app `{app}` was handed a model of the wrong type")
             }
             QuercError::Training { context, message } => {
                 write!(f, "{context}: {message}")

@@ -15,11 +15,13 @@
 //! * the [`training::TrainingModule`] accumulates labeled queries,
 //!   periodically (re)trains embedders and labelers as batch jobs, and
 //!   deploys them through the versioned [`registry::ModelRegistry`];
-//! * applications live under [`apps`], every one behind the uniform
-//!   [`apps::WorkloadApp`] trait: workload summarization for index
-//!   recommendation (§5.1), security auditing (§5.2), query-routing
-//!   policy checks, error prediction, resource allocation hints, and
-//!   next-query recommendation (§4);
+//! * applications live under [`apps`]: workload summarization for
+//!   index recommendation (§5.1), security auditing (§5.2),
+//!   query-routing policy checks, error prediction, resource allocation
+//!   hints, and next-query recommendation (§4). Each is a
+//!   [`apps::WorkloadApp`] configuration whose `fit` returns an
+//!   [`apps::AppModel`] — the fitted model is the labeler, with one
+//!   labeling path (`label_batch`);
 //! * the [`service::WorkloadManager`] is the serving façade: it owns the
 //!   registry, fits and registers apps by name, shards each app's query
 //!   stream across single-consumer Qworker threads (hash-routed by
@@ -84,7 +86,7 @@ pub mod registry;
 pub mod service;
 pub mod training;
 
-pub use apps::{AppOutput, AppReport, TrainCorpus, WorkloadApp};
+pub use apps::{AppModel, AppOutput, AppReport, TrainCorpus, WorkloadApp};
 pub use classifier::{LabelMap, LabelerState, QueryClassifier, TrainedLabeler};
 pub use embed_plane::{EmbedCacheStats, EmbedPlane, EmbedPlaneConfig};
 pub use enriched::EnrichedQuery;

@@ -11,13 +11,14 @@
 //! reports [`QuercError::Corrupt`] instead.
 
 use crate::apps::{
-    AuditApp, DynWorkloadApp, ErrorsApp, RecommendApp, ResourcesApp, RoutingApp, SummarizeApp,
+    AuditApp, ErrorsApp, RecommendApp, ResourcesApp, RoutingApp, SummarizeApp, WorkloadApp,
 };
 use crate::classifier::LabelerState;
 use crate::error::{QuercError, Result};
 use crate::registry::RegistryEvent;
+use crate::service::FittedApp;
 use querc_embed::Embedder;
-use querc_learn::{ClassifierState, ForestState, TreeState};
+use querc_learn::{ClassifierState, ForestState, RandomForest, TreeState};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -145,11 +146,6 @@ pub(crate) fn utf8<'a>(bytes: &'a [u8], what: &str) -> Result<&'a str> {
     std::str::from_utf8(bytes).map_err(|_| corrupt(format!("{what}: payload is not UTF-8")))
 }
 
-/// Map a `querc-learn` restore failure into [`QuercError::Corrupt`].
-pub(crate) fn bad_learn_state(e: querc_learn::LearnError) -> QuercError {
-    corrupt(e.to_string())
-}
-
 /// Reject any tree that splits on a feature column past `dim` — the
 /// inference path indexes `v[feature]` unchecked.
 pub(crate) fn check_tree(tree: &TreeState, dim: usize) -> Result<()> {
@@ -167,6 +163,13 @@ pub(crate) fn check_tree(tree: &TreeState, dim: usize) -> Result<()> {
 /// [`check_tree`] over every tree of a forest.
 pub(crate) fn check_forest(forest: &ForestState, dim: usize) -> Result<()> {
     forest.trees.iter().try_for_each(|t| check_tree(t, dim))
+}
+
+/// Rebuild a forest that will be fed `dim`-wide vectors, validating its
+/// splits against `dim` first.
+pub(crate) fn restore_forest(state: ForestState, dim: usize) -> Result<RandomForest> {
+    check_forest(&state, dim)?;
+    RandomForest::from_state(state).map_err(|e| corrupt(e.to_string()))
 }
 
 /// Validate a classifier snapshot against the dimensionality its owner
@@ -239,7 +242,7 @@ pub(crate) struct RegistryState {
 }
 
 /// One `app:<name>` section: the app's embedder spec plus its fitted
-/// model as produced by [`crate::apps::WorkloadApp::save_model`].
+/// model as produced by [`crate::apps::AppModel::save_model`].
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub(crate) struct AppState {
     /// Registration key; must match the section's name suffix.
@@ -298,24 +301,29 @@ impl EmbedderCache {
     }
 }
 
-/// Rebuild the app *configuration* for a snapshot section. Label-time
-/// knobs (audit thresholds, routing confidence floors) live inside the
-/// serialized **model**, so the default-constructed app is behaviorally
-/// complete once `load_model` runs; fit-only knobs (tree counts, k)
-/// don't matter to a restored model and stay at their defaults.
+/// Rebuild a fitted app from a snapshot section: the default
+/// configuration under the restored embedder loads the saved model.
+/// Label-time knobs (error thresholds, routing confidence floors) and
+/// fit-time facts reports show (tree counts, cluster counts) live inside
+/// the serialized **model**, so the default config is all a restore
+/// needs.
 pub(crate) fn restore_app(
     name: &str,
     embedder: Arc<dyn Embedder>,
-) -> Result<Box<dyn DynWorkloadApp>> {
-    Ok(match name {
-        "audit" => Box::new(AuditApp::new(embedder)),
-        "errors" => Box::new(ErrorsApp::new(embedder)),
-        "recommend" => Box::new(RecommendApp::new(embedder)),
-        "resources" => Box::new(ResourcesApp::new(embedder)),
-        "routing" => Box::new(RoutingApp::new(embedder)),
-        "summarize" => Box::new(SummarizeApp::new(embedder)),
-        other => return Err(corrupt(format!("unknown app in snapshot: {other:?}"))),
-    })
+    model_json: &str,
+) -> Result<FittedApp> {
+    fn load<A: WorkloadApp>(app: A, json: &str) -> Result<FittedApp> {
+        Ok(FittedApp::new(app.name(), app.load_model(json)?))
+    }
+    match name {
+        "audit" => load(AuditApp::new(embedder), model_json),
+        "errors" => load(ErrorsApp::new(embedder), model_json),
+        "recommend" => load(RecommendApp::new(embedder), model_json),
+        "resources" => load(ResourcesApp::new(embedder), model_json),
+        "routing" => load(RoutingApp::new(embedder), model_json),
+        "summarize" => load(SummarizeApp::new(embedder), model_json),
+        other => Err(corrupt(format!("unknown app in snapshot: {other:?}"))),
+    }
 }
 
 #[cfg(test)]

@@ -91,7 +91,7 @@ pub enum QworkerMode {
 }
 
 /// A per-application worker applying (embedder, labeler) classifiers
-/// and, optionally, one fitted [`crate::apps::WorkloadApp`].
+/// and, optionally, one fitted app model ([`FittedApp`]).
 pub struct Qworker {
     /// Application name (e.g. `app-X`), attached as a label.
     pub application: String,

@@ -46,7 +46,7 @@
 //! assert_eq!(stats.latency.count, 1);
 //! ```
 
-use crate::apps::{AppReport, DynWorkloadApp, TrainCorpus, WorkloadApp};
+use crate::apps::{AppModel, AppReport, TrainCorpus, WorkloadApp};
 use crate::embed_plane::{EmbedCacheStats, EmbedPlane, EmbedPlaneConfig};
 use crate::enriched::EnrichedQuery;
 use crate::error::{QuercError, Result};
@@ -58,7 +58,6 @@ use crate::registry::ModelRegistry;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
 use querc_embed::Embedder;
-use std::any::Any;
 use std::collections::{BTreeMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -129,68 +128,60 @@ pub fn shard_for(key: &str, shards: usize) -> usize {
     (h % shards.max(1) as u64) as usize
 }
 
-/// A type-erased application plus the model it was fitted to — the unit
+/// A fitted model plus the name of the app that fitted it — the unit
 /// replicated Qworkers share behind an `Arc`.
 pub struct FittedApp {
-    app: Box<dyn DynWorkloadApp>,
-    model: Box<dyn Any + Send + Sync>,
+    name: &'static str,
+    model: Box<dyn AppModel>,
 }
 
 impl FittedApp {
     /// Fit `app` against `corpus` and package the result for serving.
-    pub fn fit<A: WorkloadApp + 'static>(app: A, corpus: &TrainCorpus) -> Result<FittedApp> {
-        let model = app.fit_dyn(corpus)?;
-        Ok(FittedApp {
-            app: Box::new(app),
-            model,
-        })
+    pub fn fit<A: WorkloadApp>(app: A, corpus: &TrainCorpus) -> Result<FittedApp> {
+        Ok(FittedApp::new(app.name(), app.fit(corpus)?))
     }
 
-    /// Registration name of the underlying app.
+    /// Package an already-fitted model (the restore path).
+    pub(crate) fn new(name: &'static str, model: impl AppModel + 'static) -> FittedApp {
+        FittedApp {
+            name,
+            model: Box::new(model),
+        }
+    }
+
+    /// Registration name of the app that fitted the model.
     pub fn name(&self) -> &'static str {
-        self.app.name()
+        self.name
     }
 
-    /// The app's serving embedder, if it declared one (see
-    /// [`WorkloadApp::embedder`]) — what the manager embeds through at
+    /// The model's serving embedder, if it declared one (see
+    /// [`AppModel::embedder`]) — what the manager embeds through at
     /// ingress.
     pub fn embedder(&self) -> Option<Arc<dyn Embedder>> {
-        self.app.embedder_dyn()
+        self.model.embedder()
     }
 
-    /// Label a batch through the app.
+    /// Label a batch through the model.
     pub fn label_batch(&self, batch: &[EnrichedQuery]) -> Result<Vec<crate::apps::AppOutput>> {
-        self.app.label_batch_dyn(self.model.as_ref(), batch)
+        self.model.label_batch(batch)
     }
 
-    /// Live counters of the fitted model's vector index, if the app
-    /// serves nearest-neighbor lookups through the
-    /// `querc_index::VectorIndex` plane (see
-    /// [`WorkloadApp::index_stats`]).
+    /// Live counters of the model's vector index, if it has one (see
+    /// [`AppModel::index_stats`]).
     pub fn index_stats(&self) -> Option<querc_index::IndexStats> {
-        self.app.index_stats_dyn(self.model.as_ref())
+        self.model.index_stats()
     }
 
     /// The fitted model's self-description.
-    pub fn report(&self) -> Result<AppReport> {
-        self.app.report_dyn(self.model.as_ref())
-    }
-
-    /// Reassemble a fitted app from restored parts — the
-    /// [`WorkloadManager::restore`] path, where the model comes out of a
-    /// snapshot instead of a fit.
-    pub fn from_parts(
-        app: Box<dyn DynWorkloadApp>,
-        model: Box<dyn Any + Send + Sync>,
-    ) -> FittedApp {
-        FittedApp { app, model }
+    pub fn report(&self) -> AppReport {
+        self.model.report()
     }
 
     /// Serialize the fitted model for a snapshot, if the app supports
-    /// persistence (see [`WorkloadApp::save_model`]). `None` means the
+    /// persistence (see [`AppModel::save_model`]). `None` means the
     /// app is skipped at checkpoint time and refits after a restore.
     pub fn save_model(&self) -> Option<String> {
-        self.app.save_model_dyn(self.model.as_ref())
+        self.model.save_model()
     }
 }
 
@@ -292,14 +283,14 @@ impl KernelPolicy {
     /// Apply this policy to the process-wide kernel dispatch and return
     /// the name of the now-active arm (`"avx2"` / `"scalar"`).
     pub fn apply(self) -> &'static str {
-        use querc_index::simd;
+        use querc_linalg::kernel::{set_kernel_override, Kernel};
         let kernel = match self {
             KernelPolicy::Auto => None,
-            KernelPolicy::ForceScalar => Some(querc_index::Kernel::Scalar),
-            KernelPolicy::ForceAvx2 => Some(querc_index::Kernel::Avx2),
-            KernelPolicy::ForceAvx512 => Some(querc_index::Kernel::Avx512),
+            KernelPolicy::ForceScalar => Some(Kernel::Scalar),
+            KernelPolicy::ForceAvx2 => Some(Kernel::Avx2),
+            KernelPolicy::ForceAvx512 => Some(Kernel::Avx512),
         };
-        simd::set_kernel_override(kernel).name()
+        set_kernel_override(kernel).name()
     }
 }
 
@@ -515,11 +506,7 @@ impl WorkloadManager {
     /// is carried over into the eventual [`WorkloadManager::drain`] —
     /// queries accepted by `submit` are never silently dropped by a
     /// redeploy.
-    pub fn register<A: WorkloadApp + 'static>(
-        &mut self,
-        app: A,
-        corpus: &TrainCorpus,
-    ) -> Result<AppReport> {
+    pub fn register<A: WorkloadApp>(&mut self, app: A, corpus: &TrainCorpus) -> Result<AppReport> {
         self.register_fitted(Arc::new(FittedApp::fit(app, corpus)?))
     }
 
@@ -528,7 +515,7 @@ impl WorkloadManager {
     /// serve one trained model from several managers without refitting.
     pub fn register_fitted(&mut self, fitted: Arc<FittedApp>) -> Result<AppReport> {
         let name = fitted.name().to_string();
-        let report = fitted.report()?;
+        let report = fitted.report();
 
         // Fail registration fast if an attach label has no deployment;
         // while serving, workers re-resolve per chunk so later deploys
@@ -851,11 +838,11 @@ impl WorkloadManager {
 
     /// One app's fitted-model report.
     pub fn report(&self, app: &str) -> Result<AppReport> {
-        self.entry(app)?.fitted.report()
+        Ok(self.entry(app)?.fitted.report())
     }
 
     /// Reports for every registered app, sorted by app name.
-    pub fn reports(&self) -> Result<Vec<AppReport>> {
+    pub fn reports(&self) -> Vec<AppReport> {
         self.apps.values().map(|e| e.fitted.report()).collect()
     }
 
@@ -870,7 +857,7 @@ impl WorkloadManager {
     ///
     /// Apps whose embedder doesn't serialize
     /// ([`querc_embed::Embedder::export_spec`] returns `None`) or whose
-    /// model doesn't ([`WorkloadApp::save_model`] returns `None`) are
+    /// model doesn't ([`AppModel::save_model`] returns `None`) are
     /// skipped — they simply refit after a restore. Registry
     /// deployments are skipped on the same terms.
     ///
@@ -1120,9 +1107,8 @@ impl WorkloadManager {
                 )));
             }
             let embedder = embedders.restore(&state.embedder_kind, &state.embedder_json)?;
-            let app = persist::restore_app(name, embedder)?;
-            let model = app.load_model_dyn(&state.model_json)?;
-            mgr.register_fitted(Arc::new(FittedApp::from_parts(app, model)))?;
+            let fitted = persist::restore_app(name, embedder, &state.model_json)?;
+            mgr.register_fitted(Arc::new(fitted))?;
         }
 
         // Cache warming last: full-snapshot entries first, then deltas

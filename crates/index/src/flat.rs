@@ -2,7 +2,8 @@
 
 use crate::metric::Metric;
 use crate::store::VectorStore;
-use crate::{simd, Hit, IndexStats, TopK, VectorIndex};
+use crate::{Hit, IndexStats, TopK, VectorIndex};
+use querc_linalg::kernel;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Rows per scan block. Batched queries revisit each block while it is
@@ -14,7 +15,7 @@ const SCAN_BLOCK: usize = 256;
 /// Exact k-NN over a [`VectorStore`] — the correctness baseline every
 /// approximate index is measured against.
 ///
-/// Distances are computed by the fused [`crate::simd`] block kernels
+/// Distances are computed by the fused [`querc_linalg::kernel`] block kernels
 /// (one query against a whole contiguous block, no per-row call
 /// overhead), dispatched at runtime between the AVX2 arm and the
 /// `querc_linalg::ops` scalar reference. The arms are bit-identical, so
@@ -124,7 +125,7 @@ impl VectorIndex for FlatIndex {
             partitions: 1,
             exact: true,
             backend: "flat",
-            kernel: simd::kernel_name(),
+            kernel: kernel::kernel_name(),
             resident_bytes: self.store.memory_bytes(),
         }
     }
@@ -183,7 +184,7 @@ mod tests {
         assert_eq!(s.partitions, 1);
         assert_eq!(s.candidates_per_search(), 20.0);
         assert_eq!(s.backend, "flat");
-        assert_eq!(s.kernel, simd::kernel_name());
+        assert_eq!(s.kernel, kernel::kernel_name());
         assert_eq!(s.resident_bytes, ix.store().memory_bytes());
     }
 

@@ -376,7 +376,7 @@ impl VectorIndex for IvfIndex {
             // the flag reflects the *current* nprobe setting.
             exact: self.nprobe >= self.nlist(),
             backend: "ivf",
-            kernel: crate::simd::kernel_name(),
+            kernel: querc_linalg::kernel::kernel_name(),
             resident_bytes: self.store.memory_bytes() + self.centroids.memory_bytes() + lists_bytes,
         }
     }

@@ -32,14 +32,12 @@
 pub mod flat;
 pub mod ivf;
 pub mod metric;
-pub mod simd;
 pub mod sq8;
 pub mod store;
 
 pub use flat::FlatIndex;
 pub use ivf::{IvfConfig, IvfIndex};
 pub use metric::Metric;
-pub use simd::Kernel;
 pub use sq8::{Sq8Config, Sq8Index};
 pub use store::VectorStore;
 
@@ -73,7 +71,7 @@ pub struct IndexStats {
     pub backend: &'static str,
     /// Distance-kernel arm the process is dispatching to — `"avx2"` or
     /// `"scalar"` (`""` on a default-constructed stats value). See
-    /// [`simd::kernel_name`].
+    /// [`querc_linalg::kernel::kernel_name`].
     pub kernel: &'static str,
     /// Bytes resident for search: vectors/codes plus index structure.
     /// The SQ8 backends report roughly a quarter of flat's footprint

@@ -6,7 +6,7 @@
 //! `1 − cosine` to NaN. Here the distance definitions and the ordering
 //! rule live in one place: distances are semantically defined by the
 //! `querc_linalg::ops` reference kernels and computed by the
-//! runtime-dispatched [`crate::simd`] twins (bit-identical on every
+//! runtime-dispatched [`querc_linalg::kernel`] twins (bit-identical on every
 //! arm, so values still match the historical scans), and every
 //! comparison goes through [`f32::total_cmp`], under which NaN sorts
 //! after every real number and therefore can never win a
@@ -34,14 +34,14 @@ impl Metric {
     /// Distance between `a` and `b`. Finite for all finite inputs;
     /// inputs containing NaN/∞ may yield NaN, which the total order
     /// ranks after every real distance.
-    /// Both arms dispatch through [`crate::simd`]: an AVX2 kernel when
+    /// Both arms dispatch through [`querc_linalg::kernel`]: an AVX2 kernel when
     /// the CPU has it (bit-identical to the scalar reference — see the
     /// parity suite), the `querc_linalg::ops` reference loops otherwise.
     #[inline]
     pub fn distance(&self, a: &[f32], b: &[f32]) -> f32 {
         match self {
-            Metric::Euclidean => crate::simd::sq_dist(a, b),
-            Metric::Cosine => crate::simd::cosine_dist(a, b),
+            Metric::Euclidean => querc_linalg::kernel::sq_dist(a, b),
+            Metric::Cosine => querc_linalg::kernel::cosine_dist(a, b),
         }
     }
 
@@ -53,8 +53,8 @@ impl Metric {
     #[inline]
     pub fn distance_block(&self, query: &[f32], data: &[f32], stride: usize, out: &mut [f32]) {
         match self {
-            Metric::Euclidean => crate::simd::sq_dist_block(query, data, stride, out),
-            Metric::Cosine => crate::simd::cosine_dist_block(query, data, stride, out),
+            Metric::Euclidean => querc_linalg::kernel::sq_dist_block(query, data, stride, out),
+            Metric::Cosine => querc_linalg::kernel::cosine_dist_block(query, data, stride, out),
         }
     }
 

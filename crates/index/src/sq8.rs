@@ -5,7 +5,7 @@
 //! step_d` with `step_d = (max_d − min_d) / 255` trained over the
 //! indexed rows. Search runs **asymmetric distance computation** (ADC):
 //! the query stays full-precision f32 and is compared against decoded
-//! codes on the fly by the fused [`crate::simd`] u8 kernels — the codes
+//! codes on the fly by the fused [`querc_linalg::kernel`] u8 kernels — the codes
 //! are never materialized back to f32 rows.
 //!
 //! Two compositions:
@@ -36,7 +36,8 @@
 use crate::ivf::coarse_partition;
 use crate::metric::Metric;
 use crate::store::VectorStore;
-use crate::{simd, Hit, IndexStats, TopK, VectorIndex};
+use crate::{Hit, IndexStats, TopK, VectorIndex};
+use querc_linalg::kernel;
 use querc_linalg::ops;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -521,7 +522,7 @@ impl Sq8Index {
                 while row < end {
                     let chunk = (end - row).min(SCAN_BLOCK);
                     let codes = &self.codes.data[row * stride..(row + chunk) * stride];
-                    simd::adc_sq_block(&t, &self.quant.step, codes, stride, &mut buf[..chunk]);
+                    kernel::adc_sq_block(&t, &self.quant.step, codes, stride, &mut buf[..chunk]);
                     for (j, &d) in buf[..chunk].iter().enumerate() {
                         top.push(self.ids[row + j], d);
                     }
@@ -532,7 +533,7 @@ impl Sq8Index {
                 while row < end {
                     let chunk = (end - row).min(SCAN_BLOCK);
                     let codes = &self.codes.data[row * stride..(row + chunk) * stride];
-                    simd::adc_dot_block(&scratch.w, codes, stride, &mut buf[..chunk]);
+                    kernel::adc_dot_block(&scratch.w, codes, stride, &mut buf[..chunk]);
                     for (j, &wcs) in buf[..chunk].iter().enumerate() {
                         let dot = scratch.qb + wcs;
                         let nx = self.norms[row + j];
@@ -702,7 +703,7 @@ impl VectorIndex for Sq8Index {
             } else {
                 "ivf+sq8"
             },
-            kernel: simd::kernel_name(),
+            kernel: kernel::kernel_name(),
             resident_bytes: resident,
         }
     }
@@ -711,7 +712,8 @@ impl VectorIndex for Sq8Index {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FlatIndex, Kernel};
+    use crate::FlatIndex;
+    use querc_linalg::kernel::Kernel;
     use querc_linalg::Pcg32;
 
     fn blobs(n_per: usize, centers: &[(f32, f32, f32)], seed: u64) -> Vec<Vec<f32>> {
@@ -957,11 +959,11 @@ mod tests {
                 },
             );
             let q = [2.5f32, 2.4, 2.6];
-            crate::simd::set_kernel_override(Some(Kernel::Scalar));
+            kernel::set_kernel_override(Some(Kernel::Scalar));
             let scalar = ix.search(&q, 8);
-            crate::simd::set_kernel_override(Some(Kernel::Avx2));
+            kernel::set_kernel_override(Some(Kernel::Avx2));
             let avx2 = ix.search(&q, 8);
-            crate::simd::set_kernel_override(None);
+            kernel::set_kernel_override(None);
             assert_eq!(scalar.len(), avx2.len());
             for (a, b) in scalar.iter().zip(&avx2) {
                 assert_eq!(a.0, b.0, "{metric:?}");

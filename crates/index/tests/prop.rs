@@ -14,18 +14,18 @@
 //!   rounding slack.
 
 use proptest::prelude::*;
-use querc_index::simd::{self, Kernel};
 use querc_index::{Metric, Sq8Config, Sq8Index, VectorIndex, VectorStore};
+use querc_linalg::kernel::{self, Kernel};
 use querc_linalg::ops;
 
 /// Kernels whose parity this machine can witness: always the scalar
 /// reference; the AVX2 / AVX-512 arms when the CPU has them.
 fn arms() -> Vec<Kernel> {
     let mut arms = vec![Kernel::Scalar];
-    if querc_index::simd::avx2_available() {
+    if kernel::avx2_available() {
         arms.push(Kernel::Avx2);
     }
-    if querc_index::simd::avx512_available() {
+    if kernel::avx512_available() {
         arms.push(Kernel::Avx512);
     }
     arms
@@ -65,9 +65,9 @@ proptest! {
         let a_off = &a_pad[1..];
 
         let arms = arms();
-        let sq: Vec<u32> = arms.iter().map(|&k| simd::sq_dist_with(k, a_off, &b).to_bits()).collect();
-        let co: Vec<u32> = arms.iter().map(|&k| simd::cosine_dist_with(k, a_off, &b).to_bits()).collect();
-        let dt: Vec<u32> = arms.iter().map(|&k| simd::dot_with(k, a_off, &b).to_bits()).collect();
+        let sq: Vec<u32> = arms.iter().map(|&k| kernel::sq_dist_with(k, a_off, &b).to_bits()).collect();
+        let co: Vec<u32> = arms.iter().map(|&k| kernel::cosine_dist_with(k, a_off, &b).to_bits()).collect();
+        let dt: Vec<u32> = arms.iter().map(|&k| kernel::dot_with(k, a_off, &b).to_bits()).collect();
         for w in [&sq, &co, &dt] {
             prop_assert!(w.windows(2).all(|p| p[0] == p[1]), "arm mismatch: {w:?}");
         }
@@ -103,9 +103,9 @@ proptest! {
                 let mut out = vec![0.0f32; rows];
                 match metric {
                     Metric::Euclidean =>
-                        simd::sq_dist_block_with(k, &q, store.data(), store.stride(), &mut out),
+                        kernel::sq_dist_block_with(k, &q, store.data(), store.stride(), &mut out),
                     Metric::Cosine =>
-                        simd::cosine_dist_block_with(k, &q, store.data(), store.stride(), &mut out),
+                        kernel::cosine_dist_block_with(k, &q, store.data(), store.stride(), &mut out),
                 }
                 outs.push(out);
             }
@@ -144,8 +144,8 @@ proptest! {
         for &k in &arms() {
             let mut sq = vec![0.0f32; rows];
             let mut dt = vec![0.0f32; rows];
-            simd::adc_sq_block_with(k, &t, &step, &codes, stride, &mut sq);
-            simd::adc_dot_block_with(k, &t, &codes, stride, &mut dt);
+            kernel::adc_sq_block_with(k, &t, &step, &codes, stride, &mut sq);
+            kernel::adc_dot_block_with(k, &t, &codes, stride, &mut dt);
             sq_outs.push(sq);
             dot_outs.push(dt);
         }

@@ -40,11 +40,10 @@
 //! parity suite and the benchmarks (timing one arm against the other
 //! without touching process-global state).
 //!
-//! Historically this module lived in `querc_index::simd`; it moved here
-//! so the training stack (`querc-embed`, `querc-learn`,
-//! `querc-cluster`, [`crate::Matrix`]) can reach the same kernels
-//! without depending on the index crate. `querc_index::simd` re-exports
-//! everything, so index-plane call sites are unchanged.
+//! The kernels live in `querc-linalg` so the training stack
+//! (`querc-embed`, `querc-learn`, `querc-cluster`, [`crate::Matrix`])
+//! and the index plane (`querc-index`) run on the same canonical
+//! implementation of every op.
 
 use crate::ops;
 use std::sync::atomic::{AtomicU8, Ordering};

@@ -4,7 +4,7 @@
 //! them: `norm`, `cosine`, `dist`) are **lane-strided**: element `i`
 //! accumulates into lane `i % LANES` and the eight lanes collapse
 //! through the fixed [`lane_sum`] tree. This is the workspace's
-//! *canonical* floating-point summation order — `querc_index::simd`
+//! *canonical* floating-point summation order — [`crate::kernel`]
 //! implements the same kernels with AVX2 intrinsics (one lane per
 //! register slot, the identical reduction tree) and is bit-for-bit
 //! interchangeable with these reference loops, which is what lets the
@@ -102,7 +102,7 @@ pub fn dist(a: &[f32], b: &[f32]) -> f32 {
 ///
 /// This is the *single* cosine definition in the workspace —
 /// `querc_index::Metric::Cosine` and every embedder test route through
-/// it (as [`cosine_dist`]), and the SIMD kernels in `querc_index::simd`
+/// it (as [`cosine_dist`]), and the SIMD kernels in [`crate::kernel`]
 /// are bit-for-bit twins of this exact sequence: `norm(a)`, `norm(b)`,
 /// `dot(a, b)`, one divide, one clamp.
 pub fn cosine(a: &[f32], b: &[f32]) -> f32 {

@@ -7,7 +7,8 @@
 //!
 //! Run with: `cargo run --release --example query_routing`
 
-use querc::apps::routing::RoutingChecker;
+use querc::apps::{AppModel, RoutingApp, TrainCorpus, WorkloadApp};
+use querc::{EnrichedQuery, LabeledQuery};
 use querc_embed::BagOfTokens;
 use querc_workloads::QueryRecord;
 use std::sync::Arc;
@@ -51,12 +52,11 @@ fn main() {
         })
         .collect();
 
-    let checker = RoutingChecker::train(
-        &history,
-        Arc::new(BagOfTokens::new(128, true)),
-        0.6, // report only confident disagreements
-        11,
-    );
+    // Report only confident disagreements.
+    let app = RoutingApp::new(Arc::new(BagOfTokens::new(128, true))).with_min_confidence(0.6);
+    let model = app
+        .fit(&TrainCorpus::from_records(history.clone(), 11 ^ 0x4072))
+        .expect("non-empty history");
 
     // Live batch with two misrouted analytics queries.
     let mut live = history[..20].to_vec();
@@ -71,25 +71,42 @@ fn main() {
         501,
     ));
 
-    let anomalies = checker.check(&live);
+    // Each query carries its assigned `cluster` label; the model flags
+    // the ones it confidently disagrees with.
+    let batch: Vec<EnrichedQuery> = live
+        .iter()
+        .map(|r| EnrichedQuery::new(LabeledQuery::from_record(r)))
+        .collect();
+    let labels = model.label_batch(&batch).expect("labeling");
+    let anomalies: Vec<usize> = (0..labels.len())
+        .filter(|&i| labels[i].get("routing_anomaly") == Some("true"))
+        .collect();
     println!(
         "checked {} routed queries, {} suspected misroutings:",
         live.len(),
         anomalies.len()
     );
-    for a in &anomalies {
+    for &i in &anomalies {
+        let confidence: f64 = labels[i]
+            .get("routing_confidence")
+            .and_then(|c| c.parse().ok())
+            .unwrap_or(0.0);
         println!(
             "  query #{:>3}: assigned `{}` but looks like `{}` traffic (confidence {:.0}%)",
-            a.index,
-            a.assigned_cluster,
-            a.predicted_cluster,
-            a.confidence * 100.0
+            i,
+            live[i].cluster,
+            labels[i].get("predicted_cluster").unwrap_or("?"),
+            confidence * 100.0
         );
     }
 
-    // The checker also routes brand-new queries.
+    // The model also routes brand-new queries.
+    let fresh = [EnrichedQuery::from_sql(
+        "select dim9, sum(revenue) from finance_mart group by dim9",
+    )];
+    let suggested = model.label_batch(&fresh).expect("labeling");
     println!(
         "\nsuggested cluster for a new query: {}",
-        checker.predict("select dim9, sum(revenue) from finance_mart group by dim9")
+        suggested[0].get("predicted_cluster").unwrap_or("?")
     );
 }

@@ -6,9 +6,10 @@
 //!
 //! Run with: `cargo run --release --example workload_explorer`
 
-use querc::apps::errors::ErrorPredictor;
 use querc::apps::recommend::QueryRecommender;
-use querc::apps::resources::{ResourceBuckets, ResourcePredictor};
+use querc::apps::resources::ResourceBuckets;
+use querc::apps::{AppModel, ErrorsApp, ResourcesApp, TrainCorpus, WorkloadApp};
+use querc::EnrichedQuery;
 use querc_cluster::{choose_k_elbow, kmeans, mean_silhouette, KMeansConfig};
 use querc_embed::{BagOfTokens, Embedder};
 use querc_linalg::Pcg32;
@@ -49,28 +50,47 @@ fn main() {
         );
     }
 
-    // --- error prediction -------------------------------------------------
-    let errors = wl.records.iter().filter(|r| r.is_error()).count();
-    let predictor = ErrorPredictor::train(&wl.records, Arc::clone(&embedder), 0.5, 5);
-    println!("\nerror prediction: {errors} failures in the log");
-    let risky = wl
+    // The log itself, as the batch both labelers score.
+    let batch: Vec<EnrichedQuery> = wl
         .records
         .iter()
-        .filter(|r| predictor.assess(&r.sql).risky)
+        .map(|r| EnrichedQuery::from_sql(r.sql.clone()))
+        .collect();
+
+    // --- error prediction -------------------------------------------------
+    let errors = wl.records.iter().filter(|r| r.is_error()).count();
+    let predictor = ErrorsApp::new(Arc::clone(&embedder))
+        .fit(&TrainCorpus::from_records(wl.records.clone(), 5 ^ 0xe440))
+        .expect("non-empty log");
+    println!("\nerror prediction: {errors} failures in the log");
+    let risky = predictor
+        .label_batch(&batch)
+        .expect("labeling")
+        .iter()
+        .filter(|out| out.get("error_risky") == Some("true"))
         .count();
     println!("  {risky} queries flagged as risky before execution");
 
     // --- resource classes --------------------------------------------------
     let buckets = ResourceBuckets::default();
-    let resources = ResourcePredictor::train(&wl.records, Arc::clone(&embedder), buckets, 9);
+    let resources = ResourcesApp::new(Arc::clone(&embedder))
+        .with_buckets(buckets)
+        .fit(&TrainCorpus::from_records(wl.records.clone(), 9 ^ 0x4e50))
+        .expect("non-empty log");
+    let classes = resources.label_batch(&batch).expect("labeling");
+    let hits = classes
+        .iter()
+        .zip(&wl.records)
+        .filter(|(out, r)| out.get("resource_class") == Some(buckets.classify(r.runtime_ms).name()))
+        .count();
     println!(
         "\nresource hints (held-in accuracy {:.0}%):",
-        resources.holdout_accuracy(&wl.records) * 100.0
+        hits as f64 / wl.records.len() as f64 * 100.0
     );
-    for r in wl.records.iter().take(3) {
+    for (out, r) in classes.iter().zip(&wl.records).take(3) {
         println!(
             "  predicted `{}` for: {}",
-            resources.predict(&r.sql).name(),
+            out.get("resource_class").unwrap_or("?"),
             &r.sql[..r.sql.len().min(70)]
         );
     }

@@ -53,7 +53,7 @@ fn main() {
     .unwrap();
 
     println!("\nregistered apps:");
-    for report in mgr.reports().unwrap() {
+    for report in mgr.reports() {
         println!(
             "  {:<10} {:<62} ({} training queries)",
             report.app, report.task, report.trained_queries

@@ -202,7 +202,7 @@ fn kill_and_restore_serves_bit_identical_labels_with_a_warm_cache() {
         Some(1),
         "registry deployment restored at its pinned version"
     );
-    for (orig, back) in mgr_reports(&corpus).iter().zip(restored.reports().unwrap()) {
+    for (orig, back) in mgr_reports(&corpus).iter().zip(restored.reports()) {
         assert_eq!(orig.app, back.app);
         assert_eq!(
             orig.trained_queries, back.trained_queries,
@@ -246,7 +246,44 @@ fn kill_and_restore_serves_bit_identical_labels_with_a_warm_cache() {
 fn mgr_reports(corpus: &TrainCorpus) -> Vec<querc::AppReport> {
     let mut mgr = WorkloadManager::new(WorkloadManagerConfig::default());
     register_all(&mut mgr, corpus);
-    mgr.reports().unwrap()
+    mgr.reports()
+}
+
+/// Reports describe the fitted model, so a restore — which rebuilds
+/// every app from its default configuration — must reproduce them
+/// exactly, fit-time knobs (tree count, cluster counts) included.
+#[test]
+fn restored_reports_equal_the_fitted_ones() {
+    let path = snapshot_path("reports");
+    let corpus = TrainCorpus::from_records(training_records(), 0x2019);
+    let shared: Arc<dyn Embedder> = Arc::new(BagOfTokens::new(64, true));
+    let e = || Arc::clone(&shared);
+    let mut mgr = WorkloadManager::new(WorkloadManagerConfig::default());
+    mgr.register(AuditApp::new(e()).with_trees(20), &corpus)
+        .unwrap();
+    mgr.register(ErrorsApp::new(e()), &corpus).unwrap();
+    mgr.register(RecommendApp::new(e()).with_clusters(6), &corpus)
+        .unwrap();
+    mgr.register(ResourcesApp::new(e()), &corpus).unwrap();
+    mgr.register(RoutingApp::new(e()), &corpus).unwrap();
+    let summary_cfg = querc::apps::summarize::SummaryConfig {
+        k: Some(8),
+        ..Default::default()
+    };
+    mgr.register(SummarizeApp::new(e()).with_config(summary_cfg), &corpus)
+        .unwrap();
+
+    mgr.checkpoint(&path).unwrap();
+    let restored = WorkloadManager::restore(&path, WorkloadManagerConfig::default()).unwrap();
+    assert_eq!(restored.reports(), mgr.reports());
+    let audit = restored.report("audit").unwrap();
+    assert!(audit
+        .detail
+        .contains(&("trees".to_string(), "20".to_string())));
+
+    mgr.drain();
+    restored.drain();
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

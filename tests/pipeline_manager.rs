@@ -109,7 +109,7 @@ fn manager_serves_all_six_apps_over_a_mixed_stream() {
     )
     .unwrap();
     assert_eq!(mgr.app_names(), APPS);
-    for report in mgr.reports().unwrap() {
+    for report in mgr.reports() {
         assert_eq!(report.trained_queries, 120, "{}", report.app);
         assert!(!report.task.is_empty());
     }
@@ -253,26 +253,27 @@ struct PoisonableApp {
     tripped: Arc<std::sync::atomic::AtomicBool>,
 }
 
+/// [`PoisonableApp`]'s fitted model; shares the app's trip flag.
+struct PoisonableModel {
+    tripped: Arc<std::sync::atomic::AtomicBool>,
+}
+
 impl querc::WorkloadApp for PoisonableApp {
-    type Model = ();
+    type Model = PoisonableModel;
 
     fn name(&self) -> &'static str {
         "poisonable"
     }
 
-    fn task(&self) -> &'static str {
-        "die on the poison query (test rig)"
+    fn fit(&self, _corpus: &querc::TrainCorpus) -> querc::Result<PoisonableModel> {
+        Ok(PoisonableModel {
+            tripped: Arc::clone(&self.tripped),
+        })
     }
+}
 
-    fn fit(&self, _corpus: &querc::TrainCorpus) -> querc::Result<()> {
-        Ok(())
-    }
-
-    fn label_batch(
-        &self,
-        _model: &(),
-        batch: &[querc::EnrichedQuery],
-    ) -> querc::Result<Vec<querc::AppOutput>> {
+impl querc::AppModel for PoisonableModel {
+    fn label_batch(&self, batch: &[querc::EnrichedQuery]) -> querc::Result<Vec<querc::AppOutput>> {
         if batch.iter().any(|q| q.sql() == "poison") {
             self.tripped
                 .store(true, std::sync::atomic::Ordering::SeqCst);
@@ -288,10 +289,10 @@ impl querc::WorkloadApp for PoisonableApp {
             .collect())
     }
 
-    fn report(&self, _model: &()) -> querc::AppReport {
+    fn report(&self) -> querc::AppReport {
         querc::AppReport {
             app: "poisonable".into(),
-            task: "test rig".into(),
+            task: "die on the poison query (test rig)".into(),
             trained_queries: 0,
             detail: Vec::new(),
         }
