@@ -116,11 +116,6 @@ impl EnrichedQuery {
             .map(|(_, v)| v)
     }
 
-    /// Whether any embedding vector has been attached (diagnostics).
-    pub fn has_vector(&self) -> bool {
-        !self.vectors.is_empty()
-    }
-
     /// Attach the vector computed under `namespace`, replacing any
     /// previous vector for the same namespace.
     pub fn set_vector(&mut self, namespace: u64, vector: Arc<Vec<f32>>) {

@@ -107,8 +107,7 @@ impl LatencyHistogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Fold another histogram's counts into this one (used to carry a
-    /// retired app generation's latency over a re-registration).
+    /// Fold another histogram's counts into this one.
     pub fn absorb(&self, other: &LatencyHistogram) {
         for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
             let n = theirs.load(Ordering::Relaxed);

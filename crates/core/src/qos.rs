@@ -127,9 +127,9 @@ impl TokenBucket {
     }
 }
 
-/// Per-tenant QoS knobs — what [`QosConfig`] defaults can be overridden
-/// with for a specific tenant via
-/// [`crate::service::WorkloadManager::set_tenant_policy`].
+/// Per-tenant QoS knobs, installed via [`QosConfig::policies`] or
+/// [`crate::service::WorkloadManager::set_tenant_policy`]. Tenants
+/// without one get the default: weight 1 and no rate limit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TenantPolicy {
     /// DRR weight (≥ 1): a weight-3 tenant earns 3× the dequeues of a
@@ -162,20 +162,15 @@ impl Default for TenantPolicy {
 /// memory is at most `live_tenants × max_pending_per_tenant` queries —
 /// and is the knob that converts a whale's flood into `Rejected`
 /// results; size it to a few rounds' worth of service
-/// (`quantum × weight × shards`). `default_rate` is the plane-wide
-/// per-tenant ceiling; leave `None` and rely on the backlog cap unless
-/// tenants have contracted rates.
+/// (`quantum × weight × shards`). Unlisted tenants run at weight 1 with
+/// no rate limit, held only by the backlog cap; give a tenant a
+/// [`RateLimit`] in its [`TenantPolicy`] only for a contracted rate.
 #[derive(Debug, Clone)]
 pub struct QosConfig {
     /// Master switch; `false` preserves pre-QoS serving exactly.
     pub enabled: bool,
     /// Dequeues a weight-1 tenant earns per DRR round (≥ 1).
     pub quantum: u32,
-    /// Weight for tenants without an explicit [`TenantPolicy`] (≥ 1).
-    pub default_weight: u32,
-    /// Token bucket applied to tenants without an explicit policy;
-    /// `None` disables rate limiting for them.
-    pub default_rate: Option<RateLimit>,
     /// Maximum in-flight (admitted but not yet labeled) queries per
     /// tenant across the whole manager; `0` means uncapped.
     pub max_pending_per_tenant: usize,
@@ -189,8 +184,6 @@ impl Default for QosConfig {
         QosConfig {
             enabled: false,
             quantum: 8,
-            default_weight: 1,
-            default_rate: None,
             max_pending_per_tenant: 1024,
             policies: Vec::new(),
         }
@@ -307,7 +300,6 @@ impl QosDrain {
 /// accounting).
 pub struct QosState {
     quantum: u32,
-    default_policy: TenantPolicy,
     max_pending: usize,
     tenants: RwLock<HashMap<String, Arc<TenantState>>>,
     policies: RwLock<HashMap<String, TenantPolicy>>,
@@ -319,10 +311,6 @@ impl QosState {
     pub fn new(cfg: &QosConfig) -> QosState {
         let state = QosState {
             quantum: cfg.quantum.max(1),
-            default_policy: TenantPolicy {
-                weight: cfg.default_weight.max(1),
-                rate: cfg.default_rate,
-            },
             max_pending: cfg.max_pending_per_tenant,
             tenants: RwLock::new(HashMap::new()),
             policies: RwLock::new(HashMap::new()),
@@ -362,13 +350,14 @@ impl QosState {
         v
     }
 
-    /// The policy in force for `tenant` (explicit, else defaults).
+    /// The policy in force for `tenant` (explicit, else
+    /// [`TenantPolicy::default`]).
     pub fn policy_for(&self, tenant: &str) -> TenantPolicy {
         self.policies
             .read()
             .get(tenant)
             .copied()
-            .unwrap_or(self.default_policy)
+            .unwrap_or_default()
     }
 
     /// Accounting slot for `tenant`, created on first sight.
@@ -525,11 +514,6 @@ impl<T> DrrScheduler<T> {
     /// True when no tenant has parked items.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Number of currently-backlogged tenants.
-    pub fn backlogged_tenants(&self) -> usize {
-        self.active.len()
     }
 
     /// Park one item on `tenant`'s subqueue. `weight` (clamped to ≥ 1)

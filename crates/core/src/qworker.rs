@@ -6,7 +6,9 @@
 //! labeled query onward: to the database sink, to the central training
 //! module, or both. In *forked* mode (paper §2: "Querc may not be in
 //! the critical path") queries are only mirrored to training and never
-//! forwarded to the database.
+//! forwarded to the database. That forwarding is [`Qworker::run`]'s; a
+//! manager shard runs [`Qworker::run_timed`] instead, which moves each
+//! labeled query once into the app's single output stream.
 //!
 //! The run loop drains its channel in **chunks**: one blocking `recv`
 //! followed by non-blocking `try_recv` up to the batch size, so a busy
@@ -66,14 +68,6 @@ pub struct TimedQuery {
 }
 
 impl TimedQuery {
-    /// Stamp `query` with the current time.
-    pub fn now(query: impl Into<EnrichedQuery>) -> TimedQuery {
-        TimedQuery {
-            query: query.into(),
-            enqueued_at: Instant::now(),
-        }
-    }
-
     /// Re-stamp an already-enriched query (the manager stamps before
     /// ingress embedding; see [`TimedQuery::enqueued_at`]).
     pub fn at(query: EnrichedQuery, enqueued_at: Instant) -> TimedQuery {
@@ -81,7 +75,8 @@ impl TimedQuery {
     }
 }
 
-/// Where the Qworker forwards labeled queries.
+/// Where [`Qworker::run`] forwards labeled queries. The manager's shard
+/// loop ([`Qworker::run_timed`]) has one output stream and ignores it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QworkerMode {
     /// In the critical path: forward to the database AND the trainer.
@@ -251,31 +246,37 @@ impl Qworker {
         database: Sender<LabeledQuery>,
         trainer: Sender<LabeledQuery>,
     ) -> usize {
+        let inline = self.mode == QworkerMode::Inline;
         self.run_loop(
             input,
             |lq| (EnrichedQuery::new(lq), None),
-            database,
-            trainer,
+            |labeled| {
+                if inline {
+                    // The sink may have hung up (tests, shutdown); labeling
+                    // continues because the training mirror matters more.
+                    let _ = database.send(labeled.clone());
+                }
+                let _ = trainer.send(labeled);
+            },
         )
     }
 
-    /// [`Qworker::run`] over a stream of [`TimedQuery`]s — the sharded
-    /// manager's per-shard loop. Each query's enqueue→labeled latency is
-    /// recorded into the histogram installed by
-    /// [`Qworker::with_histogram`]. With [`Qworker::with_qos`] attached,
-    /// the shard is drained fairly: arrivals are parked in per-tenant
-    /// subqueues and chunks are assembled by deficit round robin, so one
-    /// tenant's backlog cannot monopolize the shard.
-    pub fn run_timed(
-        &self,
-        input: Receiver<TimedQuery>,
-        database: Sender<LabeledQuery>,
-        trainer: Sender<LabeledQuery>,
-    ) -> usize {
-        if let Some(qos) = &self.qos {
-            return self.run_drr(Arc::clone(qos), input, database, trainer);
+    /// The sharded manager's per-shard loop over a stream of
+    /// [`TimedQuery`]s: each labeled query is moved once into `output`.
+    /// Each query's enqueue→labeled latency is recorded into the
+    /// histogram installed by [`Qworker::with_histogram`]. With
+    /// [`Qworker::with_qos`] attached, the shard is drained fairly:
+    /// arrivals are parked in per-tenant subqueues and chunks are
+    /// assembled by deficit round robin, so one tenant's backlog cannot
+    /// monopolize the shard.
+    pub fn run_timed(&self, input: Receiver<TimedQuery>, output: Sender<LabeledQuery>) -> usize {
+        let emit = |labeled| {
+            let _ = output.send(labeled);
+        };
+        match &self.qos {
+            Some(qos) => self.run_drr(qos, input, emit),
+            None => self.run_loop(input, |t| (t.query, Some(t.enqueued_at)), emit),
         }
-        self.run_loop(input, |t| (t.query, Some(t.enqueued_at)), database, trainer)
     }
 
     /// The QoS drain loop: pull every available arrival off the bounded
@@ -287,10 +288,9 @@ impl Qworker {
     /// front.
     fn run_drr(
         &self,
-        qos: Arc<QosState>,
+        qos: &QosState,
         input: Receiver<TimedQuery>,
-        database: Sender<LabeledQuery>,
-        trainer: Sender<LabeledQuery>,
+        mut emit: impl FnMut(LabeledQuery),
     ) -> usize {
         let mut sched: DrrScheduler<TimedQuery> = DrrScheduler::new(qos.quantum());
         let mut open = true;
@@ -320,38 +320,12 @@ impl Qworker {
                     Err(TryRecvError::Disconnected) => open = false,
                 }
             }
-            let timed = sched.dequeue_chunk(self.batch);
-            if timed.is_empty() {
-                continue;
-            }
-            let mut chunk = Vec::with_capacity(timed.len());
-            let mut stamps = Vec::with_capacity(timed.len());
-            let mut tenants = Vec::with_capacity(timed.len());
-            for t in timed {
-                tenants.push(routing_key(t.query.labeled()).to_string());
-                stamps.push(t.enqueued_at);
-                chunk.push(t.query);
-            }
-            let n = chunk.len();
-            let labeled_chunk = self.process_chunk(chunk);
-            let done = Instant::now();
-            for (tenant, at) in tenants.iter().zip(&stamps) {
-                let elapsed = done.duration_since(*at);
-                if let Some(histogram) = &self.histogram {
-                    histogram.record(elapsed);
-                }
-                qos.complete(tenant, Some(elapsed));
-            }
-            for labeled in labeled_chunk {
-                if self.mode == QworkerMode::Inline {
-                    let _ = database.send(labeled.clone());
-                }
-                let _ = trainer.send(labeled);
-            }
-            processed += n;
-            if let Some(counters) = &self.counters {
-                counters.processed.fetch_add(n as u64, Ordering::Relaxed);
-            }
+            let (chunk, stamps): (Vec<EnrichedQuery>, Vec<Option<Instant>>) = sched
+                .dequeue_chunk(self.batch)
+                .into_iter()
+                .map(|t| (t.query, Some(t.enqueued_at)))
+                .unzip();
+            processed += self.finish_chunk(chunk, &stamps, Some(qos), &mut emit);
         }
         processed
     }
@@ -363,8 +337,7 @@ impl Qworker {
         &self,
         input: Receiver<T>,
         split: impl Fn(T) -> (EnrichedQuery, Option<Instant>),
-        database: Sender<LabeledQuery>,
-        trainer: Sender<LabeledQuery>,
+        mut emit: impl FnMut(LabeledQuery),
     ) -> usize {
         let mut processed = 0usize;
         // Block for the first query of each chunk, then greedily fill it.
@@ -384,28 +357,47 @@ impl Qworker {
                     Err(_) => break,
                 }
             }
-            let n = chunk.len();
-            let labeled_chunk = self.process_chunk(chunk);
-            if let Some(histogram) = &self.histogram {
-                let done = Instant::now();
-                for at in stamps.iter().flatten() {
-                    histogram.record(done.duration_since(*at));
-                }
-            }
-            for labeled in labeled_chunk {
-                if self.mode == QworkerMode::Inline {
-                    // The sink may have hung up (tests, shutdown); labeling
-                    // continues because the training mirror matters more.
-                    let _ = database.send(labeled.clone());
-                }
-                let _ = trainer.send(labeled);
-            }
-            processed += n;
-            if let Some(counters) = &self.counters {
-                counters.processed.fetch_add(n as u64, Ordering::Relaxed);
-            }
+            processed += self.finish_chunk(chunk, &stamps, None, &mut emit);
         }
         processed
+    }
+
+    /// The per-chunk tail of both drain loops: label the chunk, record
+    /// each stamped query's latency (`stamps[i]` is query `i`'s submit
+    /// time, if any) and complete it with `qos`, hand every labeled
+    /// query to `emit`, and count the chunk. Returns the chunk size.
+    fn finish_chunk(
+        &self,
+        chunk: Vec<EnrichedQuery>,
+        stamps: &[Option<Instant>],
+        qos: Option<&QosState>,
+        emit: &mut impl FnMut(LabeledQuery),
+    ) -> usize {
+        let n = chunk.len();
+        // Tenant keys are read before labeling, from the query as admitted.
+        let tenants: Vec<String> = match qos {
+            Some(_) => chunk
+                .iter()
+                .map(|q| routing_key(q.labeled()).to_string())
+                .collect(),
+            None => Vec::new(),
+        };
+        let labeled = self.process_chunk(chunk);
+        let done = Instant::now();
+        for (i, at) in stamps.iter().enumerate() {
+            let elapsed = at.map(|at| done.duration_since(at));
+            if let (Some(histogram), Some(elapsed)) = (&self.histogram, elapsed) {
+                histogram.record(elapsed);
+            }
+            if let Some(qos) = qos {
+                qos.complete(&tenants[i], elapsed);
+            }
+        }
+        labeled.into_iter().for_each(emit);
+        if let Some(counters) = &self.counters {
+            counters.processed.fetch_add(n as u64, Ordering::Relaxed);
+        }
+        n
     }
 }
 

@@ -18,7 +18,13 @@
 //! per-app [`LatencyHistogram`]. [`WorkloadManager::throughput`] exposes
 //! live counters plus p50/p95/p99 snapshots; [`WorkloadManager::drain`]
 //! closes every shard, joins all workers, and hands back every labeled
-//! query (plus the training mirror) with final per-app stats.
+//! query with final per-app stats. Each served query is moved once into
+//! its app's single output stream and is never cloned on the way.
+//!
+//! An app name owns one record for the manager's lifetime: its
+//! counters, latency histogram and output stream. Re-registering the
+//! name swaps only the fitted model, shards and workers, so a redeploy
+//! keeps every accepted query and every count without merging anything.
 //!
 //! ```
 //! use querc::apps::{ResourcesApp, TrainCorpus};
@@ -185,7 +191,11 @@ impl FittedApp {
     }
 }
 
-/// Serving knobs.
+/// Serving knobs. The compute plane is process-wide and configured
+/// where it lives: the kernel arm in `querc_linalg::kernel` (CPU
+/// detection, `QUERC_SIMD`, `set_kernel_override`) and the fit thread
+/// count in `querc_linalg::pool` (`QUERC_THREADS`,
+/// `set_training_threads`). Building a manager changes neither.
 #[derive(Debug, Clone)]
 pub struct WorkloadManagerConfig {
     /// Shards (single-consumer Qworker threads) per registered app.
@@ -207,10 +217,6 @@ pub struct WorkloadManagerConfig {
     /// `submit`/`submit_batch` block until the shard catches up —
     /// backpressure instead of unbounded memory growth.
     pub queue_depth: usize,
-    /// Inline (forward to database sink) or Forked (training mirror
-    /// only); the manager's output collection uses the database sink, so
-    /// Inline is the default.
-    pub mode: QworkerMode,
     /// Registry classifier names every Qworker additionally attaches
     /// (as `predicted_<label>`). Validated against the registry at
     /// registration time, then re-resolved **once per chunk** while
@@ -231,84 +237,27 @@ pub struct WorkloadManagerConfig {
     /// sharing one embedder `Arc` share one namespace). Templated cloud
     /// traces typically have 10²–10⁴ templates, so the 64 Ki default is
     /// generous; an undersized cache still serves correctly, it just
-    /// evicts (watch [`EmbedCacheStats::evictions`]).
+    /// evicts (watch [`EmbedCacheStats::evictions`]). Lock shards come
+    /// from [`EmbedPlaneConfig::default`].
     pub embed_cache_capacity: usize,
-    /// Lock shards of the embed cache (contention knob; ≥ 1 enforced).
-    pub embed_cache_shards: usize,
     /// Multi-tenant QoS knobs (see [`crate::qos`]). Disabled by default;
     /// when enabled, submissions pass per-tenant token-bucket admission
     /// control, shard workers dequeue by deficit round robin across
     /// per-tenant subqueues, and overload sheds with
     /// [`QuercError::Rejected`] instead of blocking the producer.
     pub qos: QosConfig,
-    /// Distance-kernel arm policy for the vector search plane. Applied
-    /// **process-wide** at [`WorkloadManager::new`] (the `querc_index`
-    /// kernel dispatch is a process global); safe even with other
-    /// managers alive because the arms are bit-identical — the knob
-    /// changes throughput, never results.
-    pub kernel: KernelPolicy,
-    /// Worker threads for the training/fit compute pool
-    /// (`querc_linalg::ComputePool`). `None` keeps the ambient
-    /// resolution — a `QUERC_THREADS` env override if set, otherwise the
-    /// detected core count; `Some(n)` pins `n` **process-wide** at
-    /// [`WorkloadManager::new`], like [`KernelPolicy`]. Every fit path
-    /// folds parallel work in a fixed order, so this knob changes
-    /// wall-clock, never model bits.
-    pub training_threads: Option<usize>,
-}
-
-/// Which [`querc_index`] distance-kernel arm a manager's process runs.
-///
-/// `Auto` is right for serving; `ForceScalar` exists for benchmarking
-/// the SIMD speedup and for ruling the AVX2 arm out when debugging
-/// (results are bit-identical either way, by the index plane's parity
-/// contract).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelPolicy {
-    /// CPU detection, honoring a `QUERC_SIMD` env override: AVX2 when
-    /// the CPU has it, the scalar reference otherwise.
-    #[default]
-    Auto,
-    /// Pin the scalar reference loops, ignoring CPU and env.
-    ForceScalar,
-    /// Request the AVX2 arm regardless of `QUERC_SIMD`; still falls
-    /// back to scalar on a CPU without AVX2.
-    ForceAvx2,
-    /// Request the AVX-512 row-pair arm regardless of `QUERC_SIMD`;
-    /// still degrades to AVX2 / scalar on a CPU without it.
-    ForceAvx512,
-}
-
-impl KernelPolicy {
-    /// Apply this policy to the process-wide kernel dispatch and return
-    /// the name of the now-active arm (`"avx2"` / `"scalar"`).
-    pub fn apply(self) -> &'static str {
-        use querc_linalg::kernel::{set_kernel_override, Kernel};
-        let kernel = match self {
-            KernelPolicy::Auto => None,
-            KernelPolicy::ForceScalar => Some(Kernel::Scalar),
-            KernelPolicy::ForceAvx2 => Some(Kernel::Avx2),
-            KernelPolicy::ForceAvx512 => Some(Kernel::Avx512),
-        };
-        set_kernel_override(kernel).name()
-    }
 }
 
 impl Default for WorkloadManagerConfig {
     fn default() -> Self {
-        let plane = EmbedPlaneConfig::default();
         WorkloadManagerConfig {
             shards_per_app: 2,
             routing: RoutingPolicy::default(),
             batch: 32,
             queue_depth: 1024,
-            mode: QworkerMode::Inline,
             attach_labels: Vec::new(),
-            embed_cache_capacity: plane.capacity,
-            embed_cache_shards: plane.shards,
+            embed_cache_capacity: EmbedPlaneConfig::default().capacity,
             qos: QosConfig::default(),
-            kernel: KernelPolicy::default(),
-            training_threads: None,
         }
     }
 }
@@ -391,22 +340,35 @@ impl AppThroughput {
     }
 }
 
+/// One registered app name. The counters, latency histogram and output
+/// stream live as long as the name; re-registration replaces only the
+/// model generation (`fitted`, `embedder`, `shards`, `workers`).
 struct AppEntry {
     fitted: Arc<FittedApp>,
     /// The app's serving embedder — what ingress enrichment embeds
     /// through. `None` opts the app out of ingress embedding.
     embedder: Option<Arc<dyn Embedder>>,
     /// One bounded sender per shard, indexed by [`shard_for`] of the
-    /// entry's routing-policy key.
+    /// configured routing-policy key.
     shards: Vec<Sender<TimedQuery>>,
-    /// Shard-selection policy, frozen from the manager config at
-    /// registration time.
-    routing: RoutingPolicy,
-    output_rx: Receiver<LabeledQuery>,
-    trainer_rx: Receiver<LabeledQuery>,
     workers: Vec<JoinHandle<usize>>,
     counters: Arc<AppCounters>,
     latency: Arc<LatencyHistogram>,
+    /// The app's one output stream: every generation's workers move
+    /// labeled queries into it, in completion order.
+    output_tx: Sender<LabeledQuery>,
+    output_rx: Receiver<LabeledQuery>,
+}
+
+impl AppEntry {
+    /// Close the current generation's shards and join its workers; once
+    /// this returns, everything they labeled is on `output_rx`.
+    fn retire_generation(&mut self) {
+        self.shards.clear();
+        for w in self.workers.drain(..) {
+            let _ = w.join();
+        }
+    }
 }
 
 /// Everything [`WorkloadManager::drain`] returns.
@@ -414,9 +376,6 @@ struct AppEntry {
 pub struct ServiceDrain {
     /// Fully-labeled queries per app, in completion order.
     pub outputs: BTreeMap<String, Vec<LabeledQuery>>,
-    /// The training mirror: every labeled query, ready for
-    /// [`crate::training::TrainingModule::ingest`].
-    pub training_log: Vec<LabeledQuery>,
     /// Final per-app counters.
     pub throughput: Vec<AppThroughput>,
     /// Final plane-wide embed-cache counters (all zeros when the cache
@@ -428,20 +387,6 @@ pub struct ServiceDrain {
     pub qos: QosDrain,
 }
 
-/// Labeled queries and counters recovered from a replaced app's
-/// generation, merged back in at [`WorkloadManager::drain`].
-#[derive(Default)]
-struct Carryover {
-    outputs: Vec<LabeledQuery>,
-    training: Vec<LabeledQuery>,
-    submitted: u64,
-    processed: u64,
-    rejected: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    latency: LatencyHistogram,
-}
-
 /// The batched, replicated serving façade over all registered apps.
 pub struct WorkloadManager {
     registry: Arc<ModelRegistry>,
@@ -451,7 +396,6 @@ pub struct WorkloadManager {
     /// QoS is disabled by config.
     qos: Option<Arc<QosState>>,
     apps: BTreeMap<String, AppEntry>,
-    carryover: BTreeMap<String, Carryover>,
     cfg: WorkloadManagerConfig,
     /// `(namespace, fingerprint)` cache keys already captured by the
     /// last full [`WorkloadManager::checkpoint`] (or appended by a
@@ -463,14 +407,10 @@ pub struct WorkloadManager {
 impl WorkloadManager {
     /// An empty manager (no apps registered) with the given knobs.
     pub fn new(cfg: WorkloadManagerConfig) -> WorkloadManager {
-        cfg.kernel.apply();
-        if cfg.training_threads.is_some() {
-            querc_linalg::pool::set_training_threads(cfg.training_threads);
-        }
         let plane = (cfg.embed_cache_capacity > 0).then(|| {
             Arc::new(EmbedPlane::new(&EmbedPlaneConfig {
                 capacity: cfg.embed_cache_capacity,
-                shards: cfg.embed_cache_shards,
+                ..Default::default()
             }))
         });
         let qos = cfg.qos.enabled.then(|| Arc::new(QosState::new(&cfg.qos)));
@@ -479,7 +419,6 @@ impl WorkloadManager {
             plane,
             qos,
             apps: BTreeMap::new(),
-            carryover: BTreeMap::new(),
             cfg,
             persisted_keys: Mutex::new(HashSet::new()),
         }
@@ -500,12 +439,11 @@ impl WorkloadManager {
     /// Fit `app` on `corpus`, then spawn its shard workers. Returns the
     /// fitted model's report.
     ///
-    /// Registering a name twice replaces the previous app: its shards
-    /// are closed, its workers drain and join, and everything they
-    /// already labeled (outputs, training mirror, counters, latency)
-    /// is carried over into the eventual [`WorkloadManager::drain`] —
-    /// queries accepted by `submit` are never silently dropped by a
-    /// redeploy.
+    /// Registering a name twice replaces the previous model: its shards
+    /// are closed and its workers drain and join before the new ones
+    /// start. The name keeps its counters, latency and output stream, so
+    /// everything already accepted by `submit` reaches the eventual
+    /// [`WorkloadManager::drain`] — a redeploy never drops work.
     pub fn register<A: WorkloadApp>(&mut self, app: A, corpus: &TrainCorpus) -> Result<AppReport> {
         self.register_fitted(Arc::new(FittedApp::fit(app, corpus)?))
     }
@@ -524,84 +462,45 @@ impl WorkloadManager {
             self.registry.resolve(label)?;
         }
 
+        let entry = self.apps.entry(name.clone()).or_insert_with(|| {
+            let (output_tx, output_rx) = unbounded();
+            AppEntry {
+                fitted: Arc::clone(&fitted),
+                embedder: None,
+                shards: Vec::new(),
+                workers: Vec::new(),
+                counters: Arc::default(),
+                latency: Arc::default(),
+                output_tx,
+                output_rx,
+            }
+        });
         // Retire the previous generation (if any) BEFORE spawning the new
-        // one, preserving its in-flight work.
-        if let Some(old) = self.apps.remove(&name) {
-            let retired = Self::shut_down(old);
-            let slot = self.carryover.entry(name.clone()).or_default();
-            slot.outputs.extend(retired.outputs);
-            slot.training.extend(retired.training);
-            slot.submitted += retired.submitted;
-            slot.processed += retired.processed;
-            slot.rejected += retired.rejected;
-            slot.cache_hits += retired.cache_hits;
-            slot.cache_misses += retired.cache_misses;
-            slot.latency.absorb(&retired.latency);
-        }
-
-        let (out_tx, out_rx) = unbounded();
-        let (tr_tx, tr_rx) = unbounded();
-        let counters = Arc::new(AppCounters::default());
-        let latency = Arc::new(LatencyHistogram::new());
-        let embedder = fitted.embedder();
-        let mut shards = Vec::new();
-        let mut workers = Vec::new();
+        // one, so its outputs precede the new generation's on the stream.
+        entry.retire_generation();
+        entry.embedder = fitted.embedder();
         for _ in 0..self.cfg.shards_per_app.max(1) {
             // One bounded queue and exactly one consumer thread per
             // shard: FIFO consumption is what makes hash routing an
             // ordering guarantee rather than a load-balancing heuristic.
             let (in_tx, in_rx) = bounded(self.cfg.queue_depth.max(1));
-            let mut worker = Qworker::new(name.clone(), Vec::new(), self.cfg.mode)
+            let mut worker = Qworker::new(name.clone(), Vec::new(), QworkerMode::Inline)
                 .with_registry(Arc::clone(&self.registry), self.cfg.attach_labels.clone())
                 .with_app(Arc::clone(&fitted))
                 .with_batch(self.cfg.batch)
-                .with_counter(Arc::clone(&counters))
-                .with_histogram(Arc::clone(&latency));
+                .with_counter(Arc::clone(&entry.counters))
+                .with_histogram(Arc::clone(&entry.latency));
             if let Some(qos) = &self.qos {
                 worker = worker.with_qos(Arc::clone(qos));
             }
-            let db = out_tx.clone();
-            let tr = tr_tx.clone();
-            shards.push(in_tx);
-            workers.push(std::thread::spawn(move || worker.run_timed(in_rx, db, tr)));
+            let output = entry.output_tx.clone();
+            entry.shards.push(in_tx);
+            entry
+                .workers
+                .push(std::thread::spawn(move || worker.run_timed(in_rx, output)));
         }
-
-        self.apps.insert(
-            name,
-            AppEntry {
-                fitted,
-                embedder,
-                shards,
-                routing: self.cfg.routing,
-                output_rx: out_rx,
-                trainer_rx: tr_rx,
-                workers,
-                counters,
-                latency,
-            },
-        );
+        entry.fitted = fitted;
         Ok(report)
-    }
-
-    /// Close an entry's shards, join its workers, and collect everything
-    /// they produced.
-    fn shut_down(entry: AppEntry) -> Carryover {
-        drop(entry.shards);
-        for w in entry.workers {
-            let _ = w.join();
-        }
-        let latency = LatencyHistogram::new();
-        latency.absorb(&entry.latency);
-        Carryover {
-            outputs: entry.output_rx.iter().collect(),
-            training: entry.trainer_rx.iter().collect(),
-            submitted: entry.counters.submitted.load(Ordering::Relaxed),
-            processed: entry.counters.processed.load(Ordering::Relaxed),
-            rejected: entry.counters.rejected.load(Ordering::Relaxed),
-            cache_hits: entry.counters.cache_hits.load(Ordering::Relaxed),
-            cache_misses: entry.counters.cache_misses.load(Ordering::Relaxed),
-            latency,
-        }
     }
 
     fn entry(&self, app: &str) -> Result<&AppEntry> {
@@ -635,9 +534,9 @@ impl WorkloadManager {
         let [q] = enriched;
         match &self.qos {
             Some(qos) => {
-                Self::send_admitted(entry, qos, TimedQuery::at(q, enqueued_at), "manager.submit")
+                self.send_admitted(entry, qos, TimedQuery::at(q, enqueued_at), "manager.submit")
             }
-            None => Self::send_routed(entry, TimedQuery::at(q, enqueued_at), "manager.submit"),
+            None => self.send_routed(entry, TimedQuery::at(q, enqueued_at), "manager.submit"),
         }
     }
 
@@ -676,7 +575,7 @@ impl WorkloadManager {
         for q in batch {
             match &self.qos {
                 Some(qos) => {
-                    match Self::send_admitted(
+                    match self.send_admitted(
                         entry,
                         qos,
                         TimedQuery::at(q, enqueued_at),
@@ -688,7 +587,7 @@ impl WorkloadManager {
                     }
                 }
                 None => {
-                    Self::send_routed(
+                    self.send_routed(
                         entry,
                         TimedQuery::at(q, enqueued_at),
                         "manager.submit_batch",
@@ -716,9 +615,9 @@ impl WorkloadManager {
         }
     }
 
-    /// The shard index for a query under the entry's routing policy.
-    fn shard_index(entry: &AppEntry, lq: &LabeledQuery) -> usize {
-        match entry.routing {
+    /// The shard index for a query under the configured routing policy.
+    fn shard_index(&self, entry: &AppEntry, lq: &LabeledQuery) -> usize {
+        match self.cfg.routing {
             RoutingPolicy::Tenant => shard_for(routing_key(lq), entry.shards.len()),
             RoutingPolicy::Lineage => shard_for(&lineage_routing_key(lq), entry.shards.len()),
         }
@@ -726,8 +625,13 @@ impl WorkloadManager {
 
     /// Route one enriched query to its shard, send (blocking on a full
     /// queue), and count the accepted submission.
-    fn send_routed(entry: &AppEntry, timed: TimedQuery, context: &'static str) -> Result<()> {
-        let shard = Self::shard_index(entry, timed.query.labeled());
+    fn send_routed(
+        &self,
+        entry: &AppEntry,
+        timed: TimedQuery,
+        context: &'static str,
+    ) -> Result<()> {
+        let shard = self.shard_index(entry, timed.query.labeled());
         entry.shards[shard]
             .send(timed)
             .map_err(|_| QuercError::ChannelClosed { context })?;
@@ -744,6 +648,7 @@ impl WorkloadManager {
     /// ([`QuercError::ChannelClosed`]) rolls the offer back instead:
     /// the query had no outcome.
     fn send_admitted(
+        &self,
         entry: &AppEntry,
         qos: &QosState,
         timed: TimedQuery,
@@ -758,7 +663,7 @@ impl WorkloadManager {
                 return Err(QuercError::Rejected { tenant, reason });
             }
         };
-        let shard = Self::shard_index(entry, timed.query.labeled());
+        let shard = self.shard_index(entry, timed.query.labeled());
         // Reserve the pending slot BEFORE the send: once the query is in
         // the queue a shard worker may complete it immediately, and the
         // completion must observe the reservation (see `committed`).
@@ -797,43 +702,28 @@ impl WorkloadManager {
         }
     }
 
-    /// Live per-app stats — counters plus latency quantiles, including
-    /// retired generations after a re-registration — sorted by app name.
+    /// Live per-app stats — counters plus latency quantiles, covering
+    /// every model generation since the name was first registered —
+    /// sorted by app name.
     pub fn throughput(&self) -> Vec<AppThroughput> {
         self.apps
             .iter()
-            .map(|(name, e)| {
-                let prev = self.carryover.get(name);
-                let (prev_sub, prev_proc) =
-                    prev.map(|c| (c.submitted, c.processed)).unwrap_or((0, 0));
-                let (prev_hits, prev_misses) = prev
-                    .map(|c| (c.cache_hits, c.cache_misses))
-                    .unwrap_or((0, 0));
-                let latency = match prev {
-                    // Merge the retired generation's histogram into a
-                    // scratch copy so live reads stay allocation-light
-                    // in the common (no-redeploy) case.
-                    Some(c) => {
-                        let merged = LatencyHistogram::new();
-                        merged.absorb(&c.latency);
-                        merged.absorb(&e.latency);
-                        merged.snapshot()
-                    }
-                    None => e.latency.snapshot(),
-                };
-                AppThroughput {
-                    app: name.clone(),
-                    submitted: prev_sub + e.counters.submitted.load(Ordering::Relaxed),
-                    processed: prev_proc + e.counters.processed.load(Ordering::Relaxed),
-                    rejected: prev.map(|c| c.rejected).unwrap_or(0)
-                        + e.counters.rejected.load(Ordering::Relaxed),
-                    cache_hits: prev_hits + e.counters.cache_hits.load(Ordering::Relaxed),
-                    cache_misses: prev_misses + e.counters.cache_misses.load(Ordering::Relaxed),
-                    latency,
-                    index: e.fitted.index_stats(),
-                }
-            })
+            .map(|(name, e)| Self::stats(name, e))
             .collect()
+    }
+
+    fn stats(name: &str, e: &AppEntry) -> AppThroughput {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        AppThroughput {
+            app: name.to_string(),
+            submitted: load(&e.counters.submitted),
+            processed: load(&e.counters.processed),
+            rejected: load(&e.counters.rejected),
+            cache_hits: load(&e.counters.cache_hits),
+            cache_misses: load(&e.counters.cache_misses),
+            latency: e.latency.snapshot(),
+            index: e.fitted.index_stats(),
+        }
     }
 
     /// One app's fitted-model report.
@@ -1137,57 +1027,24 @@ impl WorkloadManager {
     }
 
     /// Close every shard, join all workers, and collect the labeled
-    /// outputs, the training mirror, and final stats — including work
-    /// done by generations retired via re-registration.
+    /// outputs and final stats of every app, across all of its model
+    /// generations.
     pub fn drain(self) -> ServiceDrain {
-        let WorkloadManager {
-            apps,
-            mut carryover,
-            plane,
-            qos,
-            ..
-        } = self;
         let mut outputs = BTreeMap::new();
-        let mut training_log = Vec::new();
         let mut throughput = Vec::new();
-        for (name, entry) in apps {
-            // The model (and its atomic index counters) lives in the
-            // FittedApp Arc; snapshot after the workers join so the
-            // stats cover every drained chunk.
-            let fitted = Arc::clone(&entry.fitted);
-            let mut collected = Self::shut_down(entry);
-            let index = fitted.index_stats();
-            if let Some(prev) = carryover.remove(&name) {
-                let mut merged = prev.outputs;
-                merged.extend(collected.outputs);
-                collected.outputs = merged;
-                training_log.extend(prev.training);
-                collected.submitted += prev.submitted;
-                collected.processed += prev.processed;
-                collected.rejected += prev.rejected;
-                collected.cache_hits += prev.cache_hits;
-                collected.cache_misses += prev.cache_misses;
-                collected.latency.absorb(&prev.latency);
-            }
-            training_log.extend(collected.training);
-            outputs.insert(name.clone(), collected.outputs);
-            throughput.push(AppThroughput {
-                app: name,
-                submitted: collected.submitted,
-                processed: collected.processed,
-                rejected: collected.rejected,
-                cache_hits: collected.cache_hits,
-                cache_misses: collected.cache_misses,
-                latency: collected.latency.snapshot(),
-                index,
-            });
+        for (name, mut entry) in self.apps {
+            // Snapshot after the workers join, so counters, latency and
+            // the model's index stats cover every drained chunk.
+            entry.retire_generation();
+            throughput.push(Self::stats(&name, &entry));
+            drop(entry.output_tx);
+            outputs.insert(name, entry.output_rx.iter().collect());
         }
         ServiceDrain {
             outputs,
-            training_log,
             throughput,
-            embed_cache: plane.map(|p| p.stats()).unwrap_or_default(),
-            qos: qos.map(|q| q.drain_snapshot()).unwrap_or_default(),
+            embed_cache: self.plane.map(|p| p.stats()).unwrap_or_default(),
+            qos: self.qos.map(|q| q.drain_snapshot()).unwrap_or_default(),
         }
     }
 }
@@ -1272,8 +1129,6 @@ mod tests {
         for lq in &drained.outputs["resources"] {
             assert!(lq.get("resource_class").is_some());
         }
-        // Training mirror saw everything.
-        assert_eq!(drained.training_log.len(), 16);
         let audit_tp = drained
             .throughput
             .iter()
@@ -1309,14 +1164,20 @@ mod tests {
         let tp = mgr.throughput();
         assert_eq!(tp[0].submitted, 13, "counters span generations");
         let drained = mgr.drain();
-        assert_eq!(
-            drained.outputs["resources"].len(),
-            13,
-            "pre-redeploy outputs must survive"
-        );
-        assert_eq!(drained.training_log.len(), 13);
+        let outputs = &drained.outputs["resources"];
+        assert_eq!(outputs.len(), 13, "pre-redeploy outputs must survive");
+        // The old generation is joined before the new one starts, so its
+        // 8 outputs come first on the app's one stream.
+        let keys: Vec<u32> = outputs
+            .iter()
+            .map(|lq| lq.sql.rsplit(' ').next().unwrap().parse().unwrap())
+            .collect();
+        assert!(keys[..8].iter().all(|&k| k < 100), "{keys:?}");
+        assert!(keys[8..].iter().all(|&k| k >= 100), "{keys:?}");
         let tp = &drained.throughput[0];
         assert_eq!((tp.submitted, tp.processed), (13, 13));
+        assert_eq!(tp.latency.count, 13, "latency spans generations");
+        assert_eq!(tp.cache_hits + tp.cache_misses, 13, "cache counts too");
     }
 
     #[test]

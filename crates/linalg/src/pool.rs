@@ -14,8 +14,8 @@
 //! tree), never in completion order.
 //!
 //! Thread-count resolution mirrors the kernel dispatcher: a
-//! programmatic [`set_training_threads`] (the
-//! `WorkloadManagerConfig::training_threads` knob) wins over the
+//! programmatic [`set_training_threads`] (the only thread-count knob;
+//! no serving config sets it) wins over the
 //! `QUERC_THREADS` environment variable, which wins over
 //! `std::thread::available_parallelism`. Workers are **scoped**
 //! (`std::thread::scope`) and live only for one `map` call: no global
@@ -26,9 +26,10 @@
 //!
 //! Sizing guidance: training threads default to every available core,
 //! which is right for offline fits. A serving process that refits in
-//! the background while answering queries should cap
-//! `training_threads` (1–2) so the fit cannot starve the shard
-//! workers; the result is bit-identical either way, only slower.
+//! the background while answering queries should cap the pool at one
+//! or two threads (`set_training_threads(Some(2))`) so the fit cannot
+//! starve the shard workers; the result is bit-identical either way,
+//! only slower.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;

@@ -192,10 +192,8 @@ fn main() {
             );
         }
     }
-    println!(
-        "training mirror captured {} labeled queries",
-        drained.training_log.len()
-    );
+    let total: usize = drained.outputs.values().map(Vec::len).sum();
+    println!("labeled outputs: {total} queries");
     // CI gate: a templated trace through six apps sharing one embedder
     // MUST hit the ingress cache; a zero hit-count means the embed-once
     // plane silently stopped fanning vectors out.

@@ -78,7 +78,7 @@ fn main() {
         mgr.submit(&apps[i % apps.len()], lq).unwrap();
     }
 
-    // 5. Drain: labeled outputs per app + training mirror + counters.
+    // 5. Drain: labeled outputs per app + counters.
     let drained = mgr.drain();
     println!("\nper-app throughput:");
     for tp in &drained.throughput {
@@ -90,7 +90,8 @@ fn main() {
             tp.latency.display()
         );
     }
-    println!("training mirror: {} queries", drained.training_log.len());
+    let total: usize = drained.outputs.values().map(Vec::len).sum();
+    println!("labeled outputs: {total} queries");
 
     // App-attached labels are appended after the record's imported
     // metadata, so the tail of the label list is each app's output.
