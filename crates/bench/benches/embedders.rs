@@ -2,13 +2,15 @@
 //! for the three representations (hashed bag-of-tokens, Doc2Vec, LSTM
 //! autoencoder). Inference cost is the number Qworker capacity planning
 //! needs; training cost bounds the retraining cadence of the training
-//! module.
+//! module. `embed_ingress_miss` is the serving plane's cache miss: one
+//! document per `embed_batch` call, against a Doc2Vec model with a
+//! multi-tenant vocabulary.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use querc_embed::{
     BagOfTokens, Doc2Vec, Doc2VecConfig, Embedder, LstmAutoencoder, LstmConfig, VocabConfig,
 };
-use querc_workloads::TpchWorkload;
+use querc_workloads::{SnowCloud, SnowCloudConfig, TpchWorkload};
 use std::hint::black_box;
 
 fn corpus(n_per_template: usize) -> Vec<Vec<String>> {
@@ -92,9 +94,36 @@ fn bench_inference(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_ingress_miss(c: &mut Criterion) {
+    let cloud = SnowCloud::generate(&SnowCloudConfig::pretrain(12, 40, 9));
+    let d2v = Doc2Vec::train(
+        &cloud.token_corpus(),
+        Doc2VecConfig {
+            epochs: 1,
+            vocab: VocabConfig {
+                min_count: 1,
+                max_size: 20_000,
+                hash_buckets: 1024,
+            },
+            ..d2v_cfg()
+        },
+    );
+    let queries: Vec<Vec<String>> = cloud.records.iter().take(16).map(|r| r.tokens()).collect();
+    let mut g = c.benchmark_group("embed_ingress_miss");
+    g.throughput(Throughput::Elements(queries.len() as u64));
+    g.bench_function("doc2vec_single_doc", |b| {
+        b.iter(|| {
+            for q in &queries {
+                black_box(d2v.embed_batch(std::slice::from_ref(q)));
+            }
+        })
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(15);
-    targets = bench_training, bench_inference
+    targets = bench_training, bench_inference, bench_ingress_miss
 }
 criterion_main!(benches);

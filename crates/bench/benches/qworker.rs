@@ -1,10 +1,11 @@
 //! Qworker serving-path benchmarks: per-query vs batched labeling.
 //!
 //! Pins the win of [`querc_embed::Embedder::embed_batch`] on the hot
-//! path. Doc2Vec is where batching matters most — its per-call setup
-//! (the unigram^0.75 alias table over the whole vocabulary) is hoisted
-//! out of the chunk — while bag-of-tokens bounds the benefit from
-//! buffer reuse alone. Throughput is reported in queries/sec.
+//! path. Doc2Vec is where batching matters most — its documents run
+//! chunk-parallel on the compute pool (its unigram^0.75 alias table is
+//! built once per model, so neither path rebuilds it) — while
+//! bag-of-tokens bounds the benefit from buffer reuse alone.
+//! Throughput is reported in queries/sec.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use querc::{LabeledQuery, QueryClassifier, Qworker, QworkerMode, TrainedLabeler};
@@ -16,8 +17,8 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 /// The multi-tenant pre-training workload: its per-tenant schema
-/// vocabulary is what makes the Doc2Vec noise table (rebuilt per query
-/// on the unbatched path) expensive, as in the paper's setting.
+/// vocabulary makes the Doc2Vec vocabulary (and its noise table) large,
+/// as in the paper's setting.
 fn snowcloud() -> SnowCloud {
     SnowCloud::generate(&SnowCloudConfig::pretrain(24, 60, 9))
 }

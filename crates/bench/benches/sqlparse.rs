@@ -1,10 +1,14 @@
-//! Microbenchmarks for the SQL front end: lexing, normalization, shape
-//! extraction and the baseline feature vector, over TPC-H and SnowCloud
-//! query text. These are the per-query serving costs every Qworker pays.
+//! Microbenchmarks for the SQL front end: lexing, normalization, the
+//! template fingerprint, shape extraction and the baseline feature
+//! vector, over TPC-H and SnowCloud query text. These are the per-query
+//! serving costs every Qworker pays; `enriched_fingerprint` is the whole
+//! ingress hit path up to the embed-plane lookup.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use querc::EnrichedQuery;
 use querc_sql::{
-    features::feature_vector, normalize::normalized_text, parse_query, tokenize, Dialect,
+    features::feature_vector, normalize::normalized_text, parse_query, template_fingerprint,
+    tokenize, Dialect,
 };
 use querc_workloads::{SnowCloud, SnowCloudConfig, TpchWorkload};
 use std::hint::black_box;
@@ -36,6 +40,21 @@ fn bench_frontend(c: &mut Criterion) {
         b.iter(|| {
             for s in &sqls {
                 black_box(normalized_text(s, Dialect::Generic));
+            }
+        })
+    });
+    g.bench_function("fingerprint", |b| {
+        b.iter(|| {
+            for s in &sqls {
+                black_box(template_fingerprint(s, Dialect::Generic));
+            }
+        })
+    });
+    g.bench_function("enriched_fingerprint", |b| {
+        // Includes copying the SQL into a fresh query, as `submit` owns it.
+        b.iter(|| {
+            for s in &sqls {
+                black_box(EnrichedQuery::from_sql(s.as_str()).fingerprint());
             }
         })
     });

@@ -4,10 +4,13 @@
 //! shape arrives again and again with only literals varying. The embed
 //! plane exploits that at manager ingress: every query is fingerprinted
 //! (`querc_sql::fingerprint`, literals stripped) and looked up in a
-//! **sharded, bounded LRU cache** `fingerprint → Arc<Vec<f32>>`. A hit
-//! attaches the cached vector to the [`EnrichedQuery`] for free; misses
-//! are embedded in one [`Embedder::embed_batch`] call (deduplicated by
-//! fingerprint within the batch) and inserted. Downstream, every app
+//! **sharded, bounded LRU cache** `fingerprint → Arc<Vec<f32>>`. The
+//! fingerprint is streamed from the lexer's spans, so a hit builds no
+//! token strings and attaches the cached vector to the
+//! [`EnrichedQuery`] for free. Only misses build their normalized
+//! tokens (from the same lexing pass's spans); they are embedded in one
+//! [`Embedder::embed_batch`] call (deduplicated by fingerprint within
+//! the batch) and inserted. Downstream, every app
 //! shard reads the `Arc` instead of re-embedding — the hot path goes
 //! from `O(apps × embed)` to `O(~0)` per repeated template.
 //!
@@ -265,8 +268,10 @@ impl EmbedPlane {
 
     /// The ingress entry point: attach a vector under `embedder`'s
     /// namespace to every query in `batch` that doesn't have one yet.
-    /// Cache hits are free; misses are **deduplicated by fingerprint**
-    /// and embedded in a single [`Embedder::embed_batch`] call, then
+    /// Cache hits need only the fingerprint, never the tokens. Misses
+    /// are **deduplicated by fingerprint**; the first query of each
+    /// builds its tokens, and all are embedded in a single
+    /// [`Embedder::embed_batch`] call, then
     /// inserted for the next arrival of the template. Returns
     /// `(hits, misses)` for this batch (global counters are updated
     /// too), so callers can attribute traffic per app.

@@ -6,11 +6,15 @@
 //! app re-lexed the SQL and re-embedded the tokens. An
 //! [`EnrichedQuery`] carries the derived artifacts alongside the query:
 //!
-//! * the **normalized token stream**, lexed at most once
-//!   ([`std::sync::OnceLock`]-memoized — the "tokenize once per query"
-//!   invariant is regression-tested against the lexer's call counter);
-//! * the **template fingerprint** (`querc_sql::fingerprint`), derived
-//!   from the memoized tokens so it costs no extra lex;
+//! * the **template fingerprint** (`querc_sql::fingerprint`), streamed
+//!   straight from the lexer's spans into FNV-1a — no token strings are
+//!   built, so an embed-plane hit allocates nothing per token;
+//! * the **normalized token stream**, built only when something needs
+//!   it — in serving, only when the embed plane has to embed a miss;
+//! * the **spans** of the one lexing pass (12 bytes per token), kept so
+//!   the query is lexed at most once whichever of the two comes first
+//!   (both orders are regression-tested against the lexer's call
+//!   counter);
 //! * zero or more **embedding vectors**, each tagged with the
 //!   [`Embedder::cache_namespace`] that produced it, shared by `Arc` so
 //!   a vector computed once at manager ingress fans out to every app
@@ -22,17 +26,35 @@
 
 use crate::labeled::LabeledQuery;
 use querc_embed::Embedder;
+use querc_sql::{Dialect, Lexer, NormToken, TemplateHasher, TokenKind};
 use std::sync::{Arc, OnceLock};
 
-/// A [`LabeledQuery`] plus memoized derived artifacts (tokens, template
-/// fingerprint, embedding vectors). See the module docs.
+/// The dialect ingress lexes under: the one `querc_embed::sql_tokens`
+/// normalizes with, so [`EnrichedQuery::tokens`] is exactly what the
+/// embedders were trained on.
+const DIALECT: Dialect = Dialect::Generic;
+
+/// One token of the query text: its class and byte range, packed into
+/// 12 bytes because every queued query carries its spans.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: u32,
+    end: u32,
+    kind: TokenKind,
+}
+
+/// A [`LabeledQuery`] plus memoized derived artifacts (template
+/// fingerprint, tokens, embedding vectors). See the module docs.
 ///
 /// The SQL text is treated as immutable once any artifact has been
 /// derived; labels remain freely mutable through
 /// [`EnrichedQuery::set`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct EnrichedQuery {
     query: LabeledQuery,
+    /// Spans of the lexing pass [`EnrichedQuery::fingerprint`] made,
+    /// from which [`EnrichedQuery::tokens`] builds without re-lexing.
+    spans: OnceLock<Box<[Span]>>,
     tokens: OnceLock<Vec<String>>,
     fingerprint: OnceLock<u64>,
     /// `(cache namespace, vector)` pairs — at most a handful (one per
@@ -45,6 +67,7 @@ impl EnrichedQuery {
     pub fn new(query: LabeledQuery) -> EnrichedQuery {
         EnrichedQuery {
             query,
+            spans: OnceLock::new(),
             tokens: OnceLock::new(),
             fingerprint: OnceLock::new(),
             vectors: Vec::new(),
@@ -90,21 +113,64 @@ impl EnrichedQuery {
         self.query
     }
 
-    /// The normalized token stream, lexed on first use and memoized —
-    /// every later consumer (fingerprint, classifiers, apps) reads the
-    /// same buffer instead of re-parsing the SQL.
+    /// The normalized token stream, built on first use and memoized —
+    /// every later consumer (classifiers, apps, the embedder on a cache
+    /// miss) reads the same buffer. Built from the spans of an earlier
+    /// [`EnrichedQuery::fingerprint`] when there are some, so the query
+    /// is still lexed at most once.
     pub fn tokens(&self) -> &[String] {
-        self.tokens
-            .get_or_init(|| querc_embed::sql_tokens(&self.query.sql))
+        self.tokens.get_or_init(|| {
+            let sql = self.sql();
+            match self.spans.get() {
+                Some(spans) => {
+                    let mut tokens = Vec::with_capacity(spans.len());
+                    tokens.extend(spans.iter().filter_map(|s| {
+                        let text = &sql[s.start as usize..s.end as usize];
+                        NormToken::of(s.kind, text).map(|t| t.to_owned_string())
+                    }));
+                    tokens
+                }
+                None => querc_sql::normalize::normalize_sql(sql, DIALECT),
+            }
+        })
     }
 
     /// The template fingerprint (literals stripped, case folded) — the
-    /// embed plane's cache key. Derived from the memoized tokens, so a
-    /// query is still lexed at most once.
+    /// embed plane's cache key. Taken from the memoized tokens when they
+    /// exist; otherwise streamed from one lexing pass whose spans are
+    /// kept for a later [`EnrichedQuery::tokens`], so a query is lexed
+    /// at most once in either call order.
     pub fn fingerprint(&self) -> u64 {
-        *self
-            .fingerprint
-            .get_or_init(|| querc_sql::fingerprint_tokens(self.tokens()))
+        *self.fingerprint.get_or_init(|| match self.tokens.get() {
+            Some(tokens) => querc_sql::fingerprint_tokens(tokens),
+            None => self.lex_fingerprint(),
+        })
+    }
+
+    /// One lexing pass: stream the fingerprint and keep the spans. Text
+    /// too long for `u32` offsets keeps no spans (its `tokens()` lexes
+    /// again).
+    fn lex_fingerprint(&self) -> u64 {
+        let sql = self.sql();
+        let keep = u32::try_from(sql.len()).is_ok();
+        let mut spans = Vec::with_capacity(if keep { sql.len() / 4 + 1 } else { 0 });
+        let mut h = TemplateHasher::default();
+        Lexer::new(sql, DIALECT, false).run(|kind, span| {
+            if let Some(t) = NormToken::of(kind, &sql[span.clone()]) {
+                h.write(t);
+            }
+            if keep {
+                spans.push(Span {
+                    start: span.start as u32,
+                    end: span.end as u32,
+                    kind,
+                });
+            }
+        });
+        if keep {
+            let _ = self.spans.set(spans.into_boxed_slice());
+        }
+        h.finish()
     }
 
     /// The vector computed under `namespace`
@@ -172,25 +238,6 @@ impl From<LabeledQuery> for EnrichedQuery {
     }
 }
 
-impl Clone for EnrichedQuery {
-    fn clone(&self) -> EnrichedQuery {
-        let tokens = OnceLock::new();
-        if let Some(t) = self.tokens.get() {
-            let _ = tokens.set(t.clone());
-        }
-        let fingerprint = OnceLock::new();
-        if let Some(f) = self.fingerprint.get() {
-            let _ = fingerprint.set(*f);
-        }
-        EnrichedQuery {
-            query: self.query.clone(),
-            tokens,
-            fingerprint,
-            vectors: self.vectors.clone(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,12 +245,13 @@ mod tests {
 
     #[test]
     fn tokens_are_lexed_exactly_once() {
-        let q = EnrichedQuery::from_sql("SELECT X FROM T WHERE y = 5");
+        let sql = "SELECT X FROM T WHERE y = 5";
+        let normalized = ["select", "x", "from", "t", "where", "y", "=", "<num>"];
+
+        // tokens() first: the fingerprint hashes the memoized tokens.
+        let q = EnrichedQuery::from_sql(sql);
         let before = querc_sql::lex_calls_this_thread();
-        assert_eq!(
-            q.tokens(),
-            ["select", "x", "from", "t", "where", "y", "=", "<num>"]
-        );
+        assert_eq!(q.tokens(), normalized);
         let _ = q.tokens();
         let _ = q.fingerprint();
         let _ = q.fingerprint();
@@ -212,6 +260,45 @@ mod tests {
             1,
             "tokens + fingerprint must share a single lex"
         );
+
+        // fingerprint() first: the tokens are built from its spans.
+        let r = EnrichedQuery::from_sql(sql);
+        let before = querc_sql::lex_calls_this_thread();
+        assert_eq!(r.fingerprint(), q.fingerprint());
+        let _ = r.fingerprint();
+        assert_eq!(r.tokens(), normalized);
+        let _ = r.tokens();
+        assert_eq!(
+            querc_sql::lex_calls_this_thread() - before,
+            1,
+            "fingerprint + tokens must share a single lex"
+        );
+    }
+
+    #[test]
+    fn fingerprint_alone_builds_no_tokens() {
+        let q = EnrichedQuery::from_sql("select a, b from t where c = 'x' -- note");
+        let _ = q.fingerprint();
+        assert!(q.tokens.get().is_none(), "a cache hit needs no tokens");
+        assert!(q.spans.get().is_some());
+    }
+
+    #[test]
+    fn both_orders_agree_with_the_embedder_tokenization() {
+        for sql in [
+            "",
+            "SELECT \"My Col\", [x]] FROM t /* c */ WHERE v = $1 AND w = 'é'",
+            "select `a``b` from \"q\"\"r\" where x = ? and y = :p 🙂",
+        ] {
+            let expect = querc_embed::sql_tokens(sql);
+            let fp = querc_sql::template_fingerprint(sql, querc_sql::Dialect::Generic);
+            let a = EnrichedQuery::from_sql(sql);
+            assert_eq!((a.tokens(), a.fingerprint()), (expect.as_slice(), fp));
+            let b = EnrichedQuery::from_sql(sql);
+            assert_eq!(b.fingerprint(), fp);
+            assert_eq!(b.tokens(), expect, "{sql:?}");
+            assert_eq!(b.clone().tokens(), expect);
+        }
     }
 
     #[test]

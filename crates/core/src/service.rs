@@ -1425,6 +1425,27 @@ mod tests {
     }
 
     #[test]
+    fn submit_lexes_each_query_once_on_the_caller() {
+        let corpus = corpus();
+        let mut mgr = WorkloadManager::new(WorkloadManagerConfig::default());
+        mgr.register(ResourcesApp::new(embedder()), &corpus)
+            .unwrap();
+        let submit = |i: usize| {
+            let before = querc_sql::lex_calls_this_thread();
+            let lq = LabeledQuery::new(format!("select v from kv_store where k = {i}"));
+            mgr.submit("resources", lq).unwrap();
+            querc_sql::lex_calls_this_thread() - before
+        };
+        // A miss embeds from the spans of the fingerprint's lex…
+        assert_eq!(submit(0), 1);
+        // …and a hit on the now-cached template lexes once, too.
+        assert_eq!(submit(1), 1);
+        let stats = mgr.embed_cache_stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+        mgr.drain();
+    }
+
+    #[test]
     fn disabled_cache_serves_identically_with_zero_counters() {
         let corpus = corpus();
         let queries: Vec<LabeledQuery> = (0..12)

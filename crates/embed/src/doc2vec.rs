@@ -44,6 +44,7 @@ use crate::embedder::Embedder;
 use crate::vocab::{Vocab, VocabConfig};
 use querc_linalg::{kernel, ops, AliasTable, ComputePool, Matrix, Pcg32};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Upper bound on per-epoch training shards. Epoch deltas cost one
 /// matrix pair per shard, so this caps the reduction memory at 8×
@@ -118,7 +119,12 @@ impl Default for Doc2VecConfig {
 }
 
 /// A trained Doc2Vec model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Serialized as its five learned fields (`cfg`, `vocab`, `w_in`,
+/// `w_out`, `doc_vecs`, in that order). The noise table and the cache
+/// namespace are derived state, rebuilt on first use after loading; a
+/// model never changes after training, so neither goes stale.
+#[derive(Debug, Clone)]
 pub struct Doc2Vec {
     cfg: Doc2VecConfig,
     vocab: Vocab,
@@ -128,6 +134,42 @@ pub struct Doc2Vec {
     w_out: Matrix,
     /// Vectors of the training documents, kept for offline analysis.
     doc_vecs: Matrix,
+    /// The unigram^0.75 negative-sampling table; see
+    /// [`Doc2Vec::noise_table`].
+    noise: OnceLock<AliasTable>,
+    /// [`Embedder::cache_namespace`], computed once: it samples both
+    /// weight matrices, too slow to repeat on every cache lookup.
+    namespace: OnceLock<u64>,
+}
+
+impl Serialize for Doc2Vec {
+    fn serialize_json(&self, out: &mut String) {
+        out.push_str("{\"cfg\":");
+        self.cfg.serialize_json(out);
+        out.push_str(",\"vocab\":");
+        self.vocab.serialize_json(out);
+        out.push_str(",\"w_in\":");
+        self.w_in.serialize_json(out);
+        out.push_str(",\"w_out\":");
+        self.w_out.serialize_json(out);
+        out.push_str(",\"doc_vecs\":");
+        self.doc_vecs.serialize_json(out);
+        out.push('}');
+    }
+}
+
+impl Deserialize for Doc2Vec {
+    fn deserialize_json(v: &serde::json::Value) -> Result<Self, serde::json::Error> {
+        Ok(Doc2Vec {
+            cfg: Deserialize::deserialize_json(v.field("cfg")?)?,
+            vocab: Deserialize::deserialize_json(v.field("vocab")?)?,
+            w_in: Deserialize::deserialize_json(v.field("w_in")?)?,
+            w_out: Deserialize::deserialize_json(v.field("w_out")?)?,
+            doc_vecs: Deserialize::deserialize_json(v.field("doc_vecs")?)?,
+            noise: OnceLock::new(),
+            namespace: OnceLock::new(),
+        })
+    }
 }
 
 impl Doc2Vec {
@@ -225,6 +267,8 @@ impl Doc2Vec {
             w_in,
             w_out,
             doc_vecs,
+            noise: OnceLock::from(noise),
+            namespace: OnceLock::new(),
         }
     }
 
@@ -246,36 +290,27 @@ impl Doc2Vec {
 
     /// Infer a vector for an unseen token sequence with frozen token
     /// vectors, using the provided RNG (exposed for tests; `embed` wraps
-    /// this deterministically). The noise table is only built when the
+    /// this deterministically). The noise table is only touched when the
     /// query has usable tokens — empty/all-OOV input stays O(dim).
     pub fn infer(&self, tokens: &[String], rng: &mut Pcg32) -> Vec<f32> {
         let (ids, mut doc) = self.init_inference(tokens, rng);
-        if ids.is_empty() {
-            return doc;
+        if !ids.is_empty() {
+            self.infer_passes(&ids, &mut doc, self.noise_table(), rng);
         }
-        let noise = self.noise_table();
-        self.infer_passes(&ids, &mut doc, &noise, rng);
         doc
     }
 
     /// The unigram^0.75 negative-sampling table over the vocabulary.
     ///
-    /// Building this is the dominant fixed cost of inference — O(vocab)
-    /// — so the batched serving path constructs it once per chunk via
-    /// [`Embedder::embed_batch`] instead of once per query.
-    fn noise_table(&self) -> AliasTable {
-        AliasTable::from_counts_pow(&self.vocab.noise_counts(), 0.75)
-    }
-
-    /// `infer` against a caller-provided noise table. Bit-identical to
-    /// [`Doc2Vec::infer`]: the table's construction consumes no RNG state.
-    fn infer_with_noise(&self, tokens: &[String], noise: &AliasTable, rng: &mut Pcg32) -> Vec<f32> {
-        let (ids, mut doc) = self.init_inference(tokens, rng);
-        if ids.is_empty() {
-            return doc;
-        }
-        self.infer_passes(&ids, &mut doc, noise, rng);
-        doc
+    /// Building it is O(vocab) — more than a short query's whole
+    /// inference — so a model builds it once, on first use (training
+    /// hands over the table it trained with), and every later
+    /// [`Doc2Vec::infer`], [`Embedder::embed`] and
+    /// [`Embedder::embed_batch`] call reuses it. Construction consumes
+    /// no RNG state, so vectors are the same whoever builds it.
+    fn noise_table(&self) -> &AliasTable {
+        self.noise
+            .get_or_init(|| AliasTable::from_counts_pow(&self.vocab.noise_counts(), 0.75))
     }
 
     /// Encode the tokens and draw the random document-vector init (the
@@ -715,35 +750,30 @@ impl Embedder for Doc2Vec {
     /// Folds trained-model identity — seed, vocabulary size, inference
     /// epochs, and checksums of both inference matrices — on top of the
     /// (name, dim) default, so two separately-trained Doc2Vec models of
-    /// the same width never share vector-cache entries.
+    /// the same width never share vector-cache entries. Computed once
+    /// per model.
     fn cache_namespace(&self) -> u64 {
         use crate::embedder::{namespace_fold, namespace_of, weights_checksum};
-        let mut h = namespace_fold(namespace_of(self.name()), self.cfg.dim as u64);
-        h = namespace_fold(h, self.cfg.seed);
-        h = namespace_fold(h, self.vocab.size() as u64);
-        h = namespace_fold(h, self.cfg.infer_epochs as u64);
-        h = namespace_fold(h, weights_checksum(self.w_in.as_slice()));
-        namespace_fold(h, weights_checksum(self.w_out.as_slice()))
+        *self.namespace.get_or_init(|| {
+            let mut h = namespace_fold(namespace_of(self.name()), self.cfg.dim as u64);
+            h = namespace_fold(h, self.cfg.seed);
+            h = namespace_fold(h, self.vocab.size() as u64);
+            h = namespace_fold(h, self.cfg.infer_epochs as u64);
+            h = namespace_fold(h, weights_checksum(self.w_in.as_slice()));
+            namespace_fold(h, weights_checksum(self.w_out.as_slice()))
+        })
     }
 
     fn export_spec(&self) -> Option<(&'static str, String)> {
         crate::io::to_json(self).ok().map(|j| (self.name(), j))
     }
 
-    /// Batched inference: the O(vocab) noise table is built once for the
-    /// whole batch, and documents run chunk-parallel on the compute
+    /// Batched inference: documents run chunk-parallel on the compute
     /// pool. Each query still gets its own content-seeded RNG and the
     /// chunks are merged in input order, so results are bit-identical to
     /// per-query [`Embedder::embed`] at every thread count.
     fn embed_batch(&self, docs: &[Vec<String>]) -> Vec<Vec<f32>> {
-        if docs.is_empty() {
-            return Vec::new();
-        }
-        let noise = self.noise_table();
-        crate::embedder::batch_chunks(docs, |tokens| {
-            let mut rng = Pcg32::with_stream(token_hash(tokens) ^ self.cfg.seed, 0x1fe2);
-            self.infer_with_noise(tokens, &noise, &mut rng)
-        })
+        crate::embedder::batch_chunks(docs, |tokens| self.embed(tokens))
     }
 }
 
@@ -842,6 +872,43 @@ mod tests {
         for (doc, v) in docs.iter().zip(&batch) {
             assert_eq!(*v, model.embed(doc), "batch diverged on {doc:?}");
         }
+    }
+
+    #[test]
+    fn single_document_embed_matches_the_batch_path_on_every_call() {
+        let corpus = two_cluster_corpus();
+        let trained = Doc2Vec::train(&corpus, small_cfg(Doc2VecMode::DistributedMemory));
+        // A loaded model starts without a noise table; a trained one
+        // keeps the table it trained with. Both must embed identically.
+        let loaded: Doc2Vec = crate::io::from_json(&crate::io::to_json(&trained).unwrap()).unwrap();
+        assert!(loaded.noise.get().is_none());
+        let doc = toks("select col1 from orders where o_total > <num>");
+        let first = loaded.embed(&doc);
+        assert!(loaded.noise.get().is_some(), "built on first use");
+        for model in [&loaded, &trained] {
+            for _ in 0..2 {
+                assert_eq!(model.embed(&doc), first);
+                assert_eq!(model.embed_batch(std::slice::from_ref(&doc))[0], first);
+            }
+        }
+    }
+
+    #[test]
+    fn export_keeps_the_five_model_fields_and_round_trips_byte_identically() {
+        let corpus = two_cluster_corpus();
+        let model = Doc2Vec::train(&corpus, small_cfg(Doc2VecMode::Dbow));
+        let _ = model.embed(&toks("select col1 from orders"));
+        let json = crate::io::to_json(&model).unwrap();
+        let value = serde::json::parse(&json).unwrap();
+        let keys: Vec<&str> = value
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, ["cfg", "vocab", "w_in", "w_out", "doc_vecs"]);
+        let back: Doc2Vec = crate::io::from_json(&json).unwrap();
+        assert_eq!(crate::io::to_json(&back).unwrap(), json);
     }
 
     #[test]

@@ -47,8 +47,8 @@ pub trait Embedder: Send + Sync {
     /// **identical** to what [`Embedder::embed`] would return for the same
     /// document: batching is an amortization, never a semantic change.
     /// The default delegates query-at-a-time; `bow`, `doc2vec`, and
-    /// `lstm` override it to hoist per-call setup (noise tables, scratch
-    /// buffers) out of the loop.
+    /// `lstm` override it to run documents chunk-parallel or to hoist
+    /// per-call setup (scratch buffers) out of the loop.
     fn embed_batch(&self, docs: &[Vec<String>]) -> Vec<Vec<f32>> {
         docs.iter().map(|d| self.embed(d)).collect()
     }

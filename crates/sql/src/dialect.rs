@@ -207,10 +207,73 @@ pub const KEYWORDS: &[&str] = &[
     "WITH",
 ];
 
-/// Is `word` a keyword (any dialect)? Case-insensitive.
-pub fn is_keyword(word: &str) -> bool {
-    let upper = word.to_ascii_uppercase();
-    KEYWORDS.binary_search(&upper.as_str()).is_ok()
+/// Length of the longest entry in [`KEYWORDS`].
+const MAX_KEYWORD_LEN: usize = {
+    let mut max = 0;
+    let mut i = 0;
+    while i < KEYWORDS.len() {
+        if KEYWORDS[i].len() > max {
+            max = KEYWORDS[i].len();
+        }
+        i += 1;
+    }
+    max
+};
+
+/// Slots of the keyword hash table: a power of two over 4× the keyword
+/// count, so linear probes stay short.
+const SLOTS: usize = 512;
+
+/// FNV-1a over the ASCII-uppercased bytes of `word`, as a slot index.
+const fn keyword_slot(word: &[u8]) -> usize {
+    let mut h: u32 = 0x811c_9dc5;
+    let mut i = 0;
+    while i < word.len() {
+        h ^= word[i].to_ascii_uppercase() as u32;
+        h = h.wrapping_mul(0x0100_0193);
+        i += 1;
+    }
+    h as usize & (SLOTS - 1)
+}
+
+/// Open-addressed table of [`KEYWORDS`] indices plus one (0 = empty),
+/// built at compile time.
+static KEYWORD_TABLE: [u8; SLOTS] = {
+    assert!(KEYWORDS.len() < u8::MAX as usize && KEYWORDS.len() * 4 <= SLOTS);
+    let mut table = [0u8; SLOTS];
+    let mut k = 0;
+    while k < KEYWORDS.len() {
+        let mut slot = keyword_slot(KEYWORDS[k].as_bytes());
+        while table[slot] != 0 {
+            slot = (slot + 1) & (SLOTS - 1);
+        }
+        table[slot] = k as u8 + 1;
+        k += 1;
+    }
+    table
+};
+
+/// Is `word` a keyword (any dialect)? Case-insensitive. One hash of the
+/// case-folded bytes and a short probe of a compile-time table; nothing
+/// is allocated or copied, so the lexer's hot path stays free of both.
+pub fn is_keyword(word: impl AsRef<[u8]>) -> bool {
+    let word = word.as_ref();
+    if word.is_empty() || word.len() > MAX_KEYWORD_LEN {
+        return false;
+    }
+    let mut slot = keyword_slot(word);
+    loop {
+        match KEYWORD_TABLE[slot] {
+            0 => return false,
+            k if KEYWORDS[k as usize - 1]
+                .as_bytes()
+                .eq_ignore_ascii_case(word) =>
+            {
+                return true
+            }
+            _ => slot = (slot + 1) & (SLOTS - 1),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -225,12 +288,26 @@ mod tests {
     }
 
     #[test]
+    fn every_keyword_is_found_in_any_case() {
+        for k in KEYWORDS {
+            assert!(is_keyword(k) && is_keyword(k.to_ascii_lowercase()), "{k}");
+            assert!(
+                !is_keyword(format!("{k}X")) && !is_keyword(format!("Q{k}")),
+                "{k}"
+            );
+        }
+    }
+
+    #[test]
     fn keyword_lookup_case_insensitive() {
         assert!(is_keyword("select"));
         assert!(is_keyword("SELECT"));
         assert!(is_keyword("Select"));
         assert!(!is_keyword("lineitem"));
         assert!(!is_keyword(""));
+        assert!(is_keyword("straight_join") && is_keyword("TABLESAMPLE"));
+        assert!(!is_keyword("straight_joins") && !is_keyword("sélect"));
+        assert!(is_keyword(b"wHeRe"));
     }
 
     #[test]

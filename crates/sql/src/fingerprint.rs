@@ -33,46 +33,99 @@
 //! ```
 
 use crate::dialect::Dialect;
-use crate::normalize::normalize_sql;
+use crate::lexer::Lexer;
+use crate::normalize::NormToken;
 
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
+const FNV_PRIME_POW7: u64 = {
+    let mut p = 1u64;
+    let mut i = 0;
+    while i < 7 {
+        p = p.wrapping_mul(FNV_PRIME);
+        i += 1;
+    }
+    p
+};
+
+/// The fingerprint as a stream: FNV-1a over each normalized token's
+/// length (8 bytes, little-endian) followed by its bytes. A
+/// length-prefixed encoding is injective over token streams, so no byte
+/// value *inside* a token (quoted identifiers can smuggle in arbitrary
+/// bytes, separators included) can make two different streams hash as
+/// one.
+#[derive(Debug, Clone, Copy)]
+pub struct TemplateHasher(u64);
+
+impl Default for TemplateHasher {
+    fn default() -> Self {
+        TemplateHasher(FNV_OFFSET)
+    }
+}
+
+impl TemplateHasher {
+    /// Fold one normalized token into the fingerprint, reading its bytes
+    /// straight from the source text.
+    pub fn write(&mut self, token: NormToken<'_>) {
+        let len = token.len() as u64;
+        if len < 0x100 {
+            // The seven zero high bytes leave the xor a no-op, so their
+            // multiplies fold into one by PRIME^7 (wrapping
+            // multiplication is associative): same hash, one step.
+            self.byte(len as u8);
+            self.0 = self.0.wrapping_mul(FNV_PRIME_POW7);
+        } else {
+            for b in len.to_le_bytes() {
+                self.byte(b);
+            }
+        }
+        token.for_each_byte(|b| self.byte(b));
+    }
+
+    fn byte(&mut self, b: u8) {
+        self.0 ^= u64::from(b);
+        self.0 = self.0.wrapping_mul(FNV_PRIME);
+    }
+
+    /// The fingerprint of the tokens written so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
 
 /// Fingerprint an already-normalized token stream (the output of
-/// [`crate::normalize::normalize_sql`]). FNV-1a over each token's
-/// length followed by its bytes — a length-prefixed encoding is
-/// injective over token streams, so no byte value *inside* a token
-/// (quoted identifiers can smuggle in arbitrary bytes, separators
-/// included) can make two different streams hash as one.
+/// [`crate::normalize::normalize_sql`]); see [`TemplateHasher`] for the
+/// encoding.
 ///
 /// Callers that already hold the normalized tokens (e.g. a memoized
 /// `EnrichedQuery`) use this directly and skip re-lexing the SQL.
 pub fn fingerprint_tokens<S: AsRef<str>>(tokens: &[S]) -> u64 {
-    let mut h = FNV_OFFSET;
+    let mut h = TemplateHasher::default();
     for t in tokens {
-        let bytes = t.as_ref().as_bytes();
-        for b in (bytes.len() as u64).to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        for b in bytes {
-            h ^= *b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
+        h.write(NormToken::Verbatim(t.as_ref()));
     }
-    h
+    h.finish()
 }
 
-/// The template fingerprint of raw SQL text under `dialect`: lex,
-/// normalize (literals → placeholders, identifiers case-folded,
-/// comments dropped), then [`fingerprint_tokens`].
+/// The template fingerprint of raw SQL text under `dialect`. One lexing
+/// pass streams each normalized token (literals → placeholders,
+/// identifiers case-folded, comments dropped) into a [`TemplateHasher`]
+/// without building it, so the result equals
+/// `fingerprint_tokens(&normalize_sql(sql, dialect))` at no allocation.
 pub fn template_fingerprint(sql: &str, dialect: Dialect) -> u64 {
-    fingerprint_tokens(&normalize_sql(sql, dialect))
+    let mut h = TemplateHasher::default();
+    Lexer::new(sql, dialect, false).run(|kind, span| {
+        if let Some(t) = NormToken::of(kind, &sql[span]) {
+            h.write(t);
+        }
+    });
+    h.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::normalize::normalize_sql;
 
     #[test]
     fn literal_substitution_is_invariant() {
@@ -155,6 +208,27 @@ mod tests {
             template_fingerprint(sql, Dialect::Generic),
             fingerprint_tokens(&normalize_sql(sql, Dialect::Generic))
         );
+    }
+
+    #[test]
+    fn long_tokens_hash_their_full_length_prefix() {
+        // A quoted identifier longer than 255 bytes takes the byte-wise
+        // length-prefix path; both entry points must still agree.
+        let name = "x".repeat(300);
+        let sql = format!("select \"{name}\", \"{}\" from t", &name[..255]);
+        let plain = |tokens: &[String]| {
+            let mut h = FNV_OFFSET;
+            for t in tokens {
+                for b in (t.len() as u64).to_le_bytes().iter().chain(t.as_bytes()) {
+                    h = (h ^ u64::from(*b)).wrapping_mul(FNV_PRIME);
+                }
+            }
+            h
+        };
+        let tokens = normalize_sql(&sql, Dialect::Generic);
+        assert_eq!(tokens[1].len(), 300);
+        assert_eq!(fingerprint_tokens(&tokens), plain(&tokens));
+        assert_eq!(template_fingerprint(&sql, Dialect::Generic), plain(&tokens));
     }
 
     #[test]

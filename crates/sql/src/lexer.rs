@@ -9,13 +9,15 @@
 use crate::dialect::{is_keyword, Dialect};
 use crate::token::{Token, TokenKind};
 use std::cell::Cell;
+use std::ops::Range;
 
 thread_local! {
     static LEX_CALLS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Number of `tokenize` / [`tokenize_with_comments`] invocations made by
-/// **this thread** since it started. A diagnostic counter for asserting
+/// Number of lexing passes ([`Lexer::run`], which [`tokenize`] and
+/// [`tokenize_with_comments`] go through) made by **this thread** since
+/// it started. A diagnostic counter for asserting
 /// single-parse invariants on hot paths (e.g. "a serving chunk lexes each
 /// query exactly once") — thread-local so concurrent tests don't see each
 /// other's lexing. Compare two readings; the absolute value is
@@ -26,17 +28,31 @@ pub fn lex_calls_this_thread() -> u64 {
 
 /// Tokenize `sql` under `dialect`, dropping whitespace and comments.
 pub fn tokenize(sql: &str, dialect: Dialect) -> Vec<Token> {
-    LEX_CALLS.with(|c| c.set(c.get() + 1));
-    Lexer::new(sql, dialect, false).run()
+    tokens(sql, dialect, false)
 }
 
 /// Tokenize keeping comment tokens (for auditing / lineage applications).
 pub fn tokenize_with_comments(sql: &str, dialect: Dialect) -> Vec<Token> {
-    LEX_CALLS.with(|c| c.set(c.get() + 1));
-    Lexer::new(sql, dialect, true).run()
+    tokens(sql, dialect, true)
 }
 
-struct Lexer<'a> {
+fn tokens(sql: &str, dialect: Dialect, keep_comments: bool) -> Vec<Token> {
+    let mut out = Vec::new();
+    Lexer::new(sql, dialect, keep_comments)
+        .run(|kind, span| out.push(Token::new(kind, &sql[span])));
+    out
+}
+
+/// The span lexer: one pass over the bytes of a SQL string that reports
+/// each token as its [`TokenKind`] and byte range, building no strings.
+/// [`tokenize`] turns the spans into owned [`Token`]s; the normalizer and
+/// the template fingerprint read the source text through them directly.
+///
+/// Every range starts and ends on a `char` boundary of the source, so
+/// `&sql[range]` never panics: a token ends after an ASCII byte, before
+/// an ASCII byte, or at the end of the input, and a run of non-ASCII
+/// bytes is never split.
+pub struct Lexer<'a> {
     src: &'a [u8],
     pos: usize,
     dialect: Dialect,
@@ -44,9 +60,11 @@ struct Lexer<'a> {
 }
 
 impl<'a> Lexer<'a> {
-    fn new(src: &'a str, dialect: Dialect, keep_comments: bool) -> Self {
+    /// A lexer over `sql` under `dialect`; comments are reported only
+    /// when `keep_comments` is set.
+    pub fn new(sql: &'a str, dialect: Dialect, keep_comments: bool) -> Self {
         Lexer {
-            src: src.as_bytes(),
+            src: sql.as_bytes(),
             pos: 0,
             dialect,
             keep_comments,
@@ -67,56 +85,34 @@ impl<'a> Lexer<'a> {
         Some(c)
     }
 
-    fn text(&self, start: usize) -> String {
-        String::from_utf8_lossy(&self.src[start..self.pos]).into_owned()
-    }
-
-    fn run(mut self) -> Vec<Token> {
-        let mut out = Vec::new();
+    /// Lex the whole input, calling `emit(kind, byte range)` once per
+    /// token in source order. Counts one call of
+    /// [`lex_calls_this_thread`].
+    pub fn run(mut self, mut emit: impl FnMut(TokenKind, Range<usize>)) {
+        LEX_CALLS.with(|c| c.set(c.get() + 1));
         while let Some(c) = self.peek() {
             let start = self.pos;
-            match c {
+            let kind = match c {
                 b' ' | b'\t' | b'\r' | b'\n' | 0x0b | 0x0c => {
                     self.pos += 1;
+                    continue;
                 }
-                b'-' if self.peek2() == Some(b'-') => {
-                    self.line_comment(start, &mut out);
-                }
-                b'#' if self.dialect.hash_comments() => {
-                    self.line_comment(start, &mut out);
-                }
-                b'/' if self.peek2() == Some(b'*') => {
-                    self.block_comment(start, &mut out);
-                }
-                b'\'' => {
-                    self.string_lit(start, &mut out);
-                }
-                b'"' => {
-                    self.quoted_ident(start, b'"', b'"', &mut out);
-                }
-                b'`' if self.dialect.backtick_idents() => {
-                    self.quoted_ident(start, b'`', b'`', &mut out);
-                }
-                b'[' if self.dialect.bracket_idents() => {
-                    self.quoted_ident(start, b'[', b']', &mut out);
-                }
-                b'0'..=b'9' => {
-                    self.number(start, &mut out);
-                }
-                b'.' if matches!(self.peek2(), Some(b'0'..=b'9')) => {
-                    self.number(start, &mut out);
-                }
-                b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
-                    self.word(start, &mut out);
-                }
+                b'-' if self.peek2() == Some(b'-') => self.line_comment(),
+                b'#' if self.dialect.hash_comments() => self.line_comment(),
+                b'/' if self.peek2() == Some(b'*') => self.block_comment(),
+                b'\'' => self.string_lit(),
+                b'"' => self.quoted_ident(b'"', b'"'),
+                b'`' if self.dialect.backtick_idents() => self.quoted_ident(b'`', b'`'),
+                b'[' if self.dialect.bracket_idents() => self.quoted_ident(b'[', b']'),
+                b'0'..=b'9' => self.number(),
+                b'.' if matches!(self.peek2(), Some(b'0'..=b'9')) => self.number(),
+                b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.word(start),
                 b'?' => {
                     self.pos += 1;
-                    out.push(Token::new(TokenKind::Param, "?"));
+                    TokenKind::Param
                 }
                 b':' if matches!(self.peek2(), Some(b'a'..=b'z' | b'A'..=b'Z' | b'_')) => {
-                    self.pos += 1;
-                    self.consume_word_chars();
-                    out.push(Token::new(TokenKind::Param, self.text(start)));
+                    self.named_param()
                 }
                 b'$' if self.dialect.dollar_params()
                     && matches!(
@@ -124,47 +120,41 @@ impl<'a> Lexer<'a> {
                         Some(b'0'..=b'9' | b'a'..=b'z' | b'A'..=b'Z' | b'_')
                     ) =>
                 {
-                    self.pos += 1;
-                    self.consume_word_chars();
-                    out.push(Token::new(TokenKind::Param, self.text(start)));
+                    self.named_param()
                 }
                 b'@' if self.dialect.at_params()
                     && matches!(self.peek2(), Some(b'a'..=b'z' | b'A'..=b'Z' | b'_')) =>
                 {
-                    self.pos += 1;
-                    self.consume_word_chars();
-                    out.push(Token::new(TokenKind::Param, self.text(start)));
+                    self.named_param()
                 }
                 b'%' if self.peek2() == Some(b's') => {
                     // printf-style placeholder common in logged Python SQL.
                     self.pos += 2;
-                    out.push(Token::new(TokenKind::Param, "%s"));
+                    TokenKind::Param
                 }
                 b'(' | b')' | b',' | b';' | b'.' => {
                     self.pos += 1;
-                    out.push(Token::new(TokenKind::Punct, self.text(start)));
+                    TokenKind::Punct
                 }
-                _ => {
-                    self.operator_or_other(start, &mut out);
-                }
+                _ => self.operator_or_other(),
+            };
+            if kind != TokenKind::Comment || self.keep_comments {
+                emit(kind, start..self.pos);
             }
         }
-        out
     }
 
-    fn line_comment(&mut self, start: usize, out: &mut Vec<Token>) {
+    fn line_comment(&mut self) -> TokenKind {
         while let Some(c) = self.peek() {
             if c == b'\n' {
                 break;
             }
             self.pos += 1;
         }
-        if self.keep_comments {
-            out.push(Token::new(TokenKind::Comment, self.text(start)));
-        }
+        TokenKind::Comment
     }
 
-    fn block_comment(&mut self, start: usize, out: &mut Vec<Token>) {
+    fn block_comment(&mut self) -> TokenKind {
         self.pos += 2; // consume /*
         while self.pos < self.src.len() {
             if self.peek() == Some(b'*') && self.peek2() == Some(b'/') {
@@ -173,12 +163,10 @@ impl<'a> Lexer<'a> {
             }
             self.pos += 1;
         }
-        if self.keep_comments {
-            out.push(Token::new(TokenKind::Comment, self.text(start)));
-        }
+        TokenKind::Comment
     }
 
-    fn string_lit(&mut self, start: usize, out: &mut Vec<Token>) {
+    fn string_lit(&mut self) -> TokenKind {
         self.pos += 1; // opening quote
         while let Some(c) = self.bump() {
             if c == b'\'' {
@@ -189,10 +177,10 @@ impl<'a> Lexer<'a> {
                 }
             }
         }
-        out.push(Token::new(TokenKind::StringLit, self.text(start)));
+        TokenKind::StringLit
     }
 
-    fn quoted_ident(&mut self, start: usize, open: u8, close: u8, out: &mut Vec<Token>) {
+    fn quoted_ident(&mut self, open: u8, close: u8) -> TokenKind {
         self.pos += 1; // opening delimiter
         while let Some(c) = self.bump() {
             if c == close {
@@ -204,10 +192,10 @@ impl<'a> Lexer<'a> {
                 }
             }
         }
-        out.push(Token::new(TokenKind::QuotedIdent, self.text(start)));
+        TokenKind::QuotedIdent
     }
 
-    fn number(&mut self, start: usize, out: &mut Vec<Token>) {
+    fn number(&mut self) -> TokenKind {
         let mut seen_dot = false;
         let mut seen_exp = false;
         while let Some(c) = self.peek() {
@@ -235,7 +223,7 @@ impl<'a> Lexer<'a> {
                 _ => break,
             }
         }
-        out.push(Token::new(TokenKind::Number, self.text(start)));
+        TokenKind::Number
     }
 
     fn consume_word_chars(&mut self) {
@@ -248,37 +236,37 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn word(&mut self, start: usize, out: &mut Vec<Token>) {
+    /// `:name`, `$1` / `$name` or `@name`: the marker, then word chars.
+    fn named_param(&mut self) -> TokenKind {
+        self.pos += 1;
         self.consume_word_chars();
-        let text = self.text(start);
-        let kind = if is_keyword(&text) {
+        TokenKind::Param
+    }
+
+    fn word(&mut self, start: usize) -> TokenKind {
+        self.consume_word_chars();
+        if is_keyword(&self.src[start..self.pos]) {
             TokenKind::Keyword
         } else {
             TokenKind::Ident
-        };
-        out.push(Token::new(kind, text));
+        }
     }
 
-    fn operator_or_other(&mut self, start: usize, out: &mut Vec<Token>) {
+    fn operator_or_other(&mut self) -> TokenKind {
         const TWO: &[&[u8]] = &[
             b"<=", b">=", b"<>", b"!=", b"||", b"::", b"->", b"=>", b"**",
         ];
         let rest = &self.src[self.pos..];
-        for op in TWO {
-            if rest.starts_with(op) {
-                self.pos += 2;
-                out.push(Token::new(TokenKind::Operator, self.text(start)));
-                return;
-            }
+        if TWO.iter().any(|op| rest.starts_with(op)) {
+            self.pos += 2;
+            return TokenKind::Operator;
         }
         match self.bump() {
             Some(
                 b'=' | b'<' | b'>' | b'+' | b'-' | b'*' | b'/' | b'%' | b'&' | b'|' | b'^' | b'~'
                 | b'!',
-            ) => {
-                out.push(Token::new(TokenKind::Operator, self.text(start)));
-            }
-            Some(_) => {
+            ) => TokenKind::Operator,
+            _ => {
                 // Swallow a maximal run of unclassifiable bytes (e.g. a
                 // multi-byte UTF-8 character) into one Other token.
                 while let Some(c) = self.peek() {
@@ -288,9 +276,8 @@ impl<'a> Lexer<'a> {
                         break;
                     }
                 }
-                out.push(Token::new(TokenKind::Other, self.text(start)));
+                TokenKind::Other
             }
-            None => {}
         }
     }
 }

@@ -31,8 +31,8 @@ pub mod token;
 
 pub use ast::{JoinEdge, Predicate, QueryShape, StatementKind};
 pub use dialect::Dialect;
-pub use fingerprint::{fingerprint_tokens, template_fingerprint};
-pub use lexer::{lex_calls_this_thread, tokenize};
-pub use normalize::{normalize_tokens, normalized_text};
+pub use fingerprint::{fingerprint_tokens, template_fingerprint, TemplateHasher};
+pub use lexer::{lex_calls_this_thread, tokenize, Lexer};
+pub use normalize::{normalize_tokens, normalized_text, NormToken};
 pub use parser::parse_query;
 pub use token::{Token, TokenKind};

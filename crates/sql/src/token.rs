@@ -59,25 +59,11 @@ impl Token {
     pub fn ident_name(&self) -> String {
         match self.kind {
             TokenKind::Ident => self.text.to_ascii_lowercase(),
-            TokenKind::QuotedIdent => {
-                // Strip the opening quote, then the closing quote only if
-                // it is actually there — an unterminated quoted identifier
-                // (which the total lexer happily emits) may end mid-name,
-                // possibly on a multi-byte character, and byte-slicing it
-                // would panic.
-                let t = self.text.as_str();
-                let Some(open) = t.chars().next() else {
-                    return String::new();
-                };
-                let close = if open == '[' { ']' } else { open };
-                let body = &t[open.len_utf8()..];
-                let inner = body.strip_suffix(close).unwrap_or(body);
-                match open {
-                    '"' => inner.replace("\"\"", "\""),
-                    '`' => inner.replace("``", "`"),
-                    _ => inner.to_string(),
-                }
-            }
+            TokenKind::QuotedIdent => match quoted_body(&self.text) {
+                (inner, Some(b'"')) => inner.replace("\"\"", "\""),
+                (inner, Some(_)) => inner.replace("``", "`"),
+                (inner, None) => inner.to_string(),
+            },
             _ => self.text.clone(),
         }
     }
@@ -96,6 +82,27 @@ impl Token {
     pub fn is_op(&self, op: &str) -> bool {
         self.kind == TokenKind::Operator && self.text == op
     }
+}
+
+/// The body of a quoted identifier's text and the quote byte whose
+/// doubling escapes it inside the body (`"` or `` ` ``; `None` for `[x]`
+/// and anything else). The opening quote is stripped, then the closing
+/// quote only if it is actually there: an unterminated quoted identifier
+/// (which the total lexer happily emits) may end mid-name, possibly on a
+/// multi-byte character, and byte-slicing it would panic.
+pub(crate) fn quoted_body(text: &str) -> (&str, Option<u8>) {
+    let Some(open) = text.chars().next() else {
+        return ("", None);
+    };
+    let close = if open == '[' { ']' } else { open };
+    let body = &text[open.len_utf8()..];
+    let inner = body.strip_suffix(close).unwrap_or(body);
+    let quote = match open {
+        '"' => Some(b'"'),
+        '`' => Some(b'`'),
+        _ => None,
+    };
+    (inner, quote)
 }
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use querc_sql::{
-    fingerprint_tokens, normalize::normalize_sql, normalize::normalized_text, parse_query,
-    template_fingerprint, tokenize, Dialect,
+    fingerprint_tokens, normalize::normalize_sql, normalize::normalized_text, normalize_tokens,
+    parse_query, template_fingerprint, tokenize, Dialect,
 };
 
 proptest! {
@@ -126,12 +126,24 @@ proptest! {
     }
 
     /// The SQL-level and token-level entry points agree, so callers
-    /// holding memoized normalized tokens can skip the re-lex safely.
+    /// holding memoized normalized tokens can skip the re-lex safely:
+    /// the fingerprint streamed from spans equals the fingerprint of the
+    /// materialized normalized tokens, in every dialect.
     #[test]
-    fn fingerprint_token_entry_point_agrees(s in ".{0,160}") {
-        prop_assert_eq!(
-            template_fingerprint(&s, Dialect::Generic),
-            fingerprint_tokens(&normalize_sql(&s, Dialect::Generic))
-        );
+    fn fingerprint_token_entry_point_agrees(s in ".{0,200}") {
+        for d in Dialect::all() {
+            prop_assert_eq!(
+                template_fingerprint(&s, d),
+                fingerprint_tokens(&normalize_sql(&s, d))
+            );
+        }
+    }
+
+    /// Normalizing straight from spans equals normalizing owned tokens.
+    #[test]
+    fn normalize_sql_matches_the_token_path(s in ".{0,200}") {
+        for d in Dialect::all() {
+            prop_assert_eq!(normalize_sql(&s, d), normalize_tokens(&tokenize(&s, d)));
+        }
     }
 }
