@@ -258,7 +258,7 @@ static KEYWORD_TABLE: [u8; SLOTS] = {
 /// is allocated or copied, so the lexer's hot path stays free of both.
 pub fn is_keyword(word: impl AsRef<[u8]>) -> bool {
     let word = word.as_ref();
-    if word.is_empty() || word.len() > MAX_KEYWORD_LEN {
+    if word.len() > MAX_KEYWORD_LEN {
         return false;
     }
     let mut slot = keyword_slot(word);
